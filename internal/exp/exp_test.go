@@ -339,6 +339,31 @@ func TestRunUnknownParamRejected(t *testing.T) {
 	}
 }
 
+// TestRunRejectsAbsurdResourceCounts pins the guard against resource counts
+// that would exhaust host memory: -set mshrs= and -set fill-buffers= far
+// past any real design (and the cmp experiment's per-agent :mshrs=
+// override) fail validation with an error instead of sizing the occupancy
+// histograms from them.
+func TestRunRejectsAbsurdResourceCounts(t *testing.T) {
+	kernel, _ := Lookup("kernel")
+	cmp, _ := Lookup("cmp")
+	for _, c := range []struct {
+		e    Experiment
+		set  map[string]string
+		want string
+	}{
+		{kernel, map[string]string{"sizes": "Small", "mshrs": "2000000000"}, "FillBuffers"},
+		{kernel, map[string]string{"sizes": "Small", "mshrs": "2000000000", "fill-buffers": "10"}, "MSHRs"},
+		{kernel, map[string]string{"sizes": "Small", "fill-buffers": "2000000000"}, "FillBuffers"},
+		{cmp, map[string]string{"size": "Small", "agents": "2xwidx:4w:mshrs=2000000000"}, "MSHRs"},
+	} {
+		_, err := Run(c.e, quickConfig(), c.set)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: got %v, want an error naming %s", c.set, err, c.want)
+		}
+	}
+}
+
 // TestSweepStructureAxisDeterministic sweeps the zoo's structure axis —
 // every traversal structure as one grid point — and requires byte-identical
 // reports at parallelism 1 and 8, with and without the warm-state cache

@@ -34,6 +34,9 @@ type SharedLevel struct {
 	// mcs grants block-transfer slots, one per service interval per
 	// controller, enforcing the effective off-chip bandwidth.
 	mcs []*slotSchedule
+	// gate is completesAfter's reusable result buffer, which keeps the MSHR
+	// and fill-buffer gates allocation-free.
+	gate []uint64
 
 	// strictOrder makes Access panic when a request's cycle precedes an
 	// earlier request's cycle (debug assertion for the execution core).
@@ -304,14 +307,16 @@ func (sl *SharedLevel) acquireFillBuffer(want uint64) (start uint64, stall uint6
 
 // completesAfter returns the completion cycles of entries whose fill is
 // still outstanding after the given cycle — all entries when owner is nil,
-// or only the owner's (the private MSHR tier).
+// or only the owner's (the private MSHR tier). The result aliases a buffer
+// the next call overwrites.
 func (sl *SharedLevel) completesAfter(cycle uint64, owner *Hierarchy) []uint64 {
-	out := make([]uint64, 0, len(sl.mshrs))
+	out := sl.gate[:0]
 	for _, e := range sl.mshrs {
 		if e.complete > cycle && (owner == nil || e.owner == owner) {
 			out = append(out, e.complete)
 		}
 	}
+	sl.gate = out
 	return out
 }
 

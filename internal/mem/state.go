@@ -1,8 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"widx/internal/warmstate"
 )
@@ -92,23 +93,30 @@ func (st *CacheState) hashInto(h *warmstate.Hasher) {
 }
 
 // TLBState is a deep snapshot of a TLB's content: the resident
-// translations with their last-use clocks. Outstanding page walks are
-// not captured — warming never starts one — and counters restore to
-// zero.
+// translations with their last-use clocks, in ascending page order.
+// Outstanding page walks are not captured — warming never starts one —
+// and counters restore to zero.
 type TLBState struct {
 	entries  int
 	pageBits uint
-	pages    map[uint64]uint64
+	vpns     []uint64
+	used     []uint64
 	clock    uint64
 }
 
 // CaptureState snapshots the TLB's content.
 func (t *TLB) CaptureState() *TLBState {
-	pages := make(map[uint64]uint64, len(t.pages))
-	for vpn, used := range t.pages {
-		pages[vpn] = used
+	order := make([]int, t.n)
+	for e := range order {
+		order[e] = e
 	}
-	return &TLBState{entries: t.entries, pageBits: t.pageBits, pages: pages, clock: t.clock}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(t.vpns[a], t.vpns[b]) })
+	st := &TLBState{entries: t.entries, pageBits: t.pageBits, clock: t.clock,
+		vpns: make([]uint64, t.n), used: make([]uint64, t.n)}
+	for i, e := range order {
+		st.vpns[i], st.used[i] = t.vpns[e], t.used[e]
+	}
+	return st
 }
 
 // RestoreState copies a snapshot's translations into the TLB, zeroes the
@@ -119,9 +127,9 @@ func (t *TLB) RestoreState(st *TLBState) {
 		panic(fmt.Sprintf("mem: restoring TLB: geometry %d entries / 2^%d pages does not match snapshot %d / 2^%d",
 			t.entries, t.pageBits, st.entries, st.pageBits))
 	}
-	t.pages = make(map[uint64]uint64, len(st.pages))
-	for vpn, used := range st.pages {
-		t.pages[vpn] = used
+	t.clear()
+	for i, vpn := range st.vpns {
+		t.add(vpn, st.used[i])
 	}
 	t.clock = st.clock
 	t.walks = nil
@@ -134,14 +142,9 @@ func (st *TLBState) hashInto(h *warmstate.Hasher) {
 	h.Word(uint64(st.entries))
 	h.Word(uint64(st.pageBits))
 	h.Word(st.clock)
-	vpns := make([]uint64, 0, len(st.pages))
-	for vpn := range st.pages {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
+	for i, vpn := range st.vpns {
 		h.Word(vpn)
-		h.Word(st.pages[vpn])
+		h.Word(st.used[i])
 	}
 }
 

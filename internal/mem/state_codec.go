@@ -3,7 +3,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // This file is the serialization side of warm-state checkpointing: a
@@ -56,15 +55,10 @@ func (e *stateEncoder) tlb(st *TLBState) {
 	e.word(uint64(st.entries))
 	e.word(uint64(st.pageBits))
 	e.word(st.clock)
-	e.word(uint64(len(st.pages)))
-	vpns := make([]uint64, 0, len(st.pages))
-	for vpn := range st.pages {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
+	e.word(uint64(len(st.vpns)))
+	for i, vpn := range st.vpns {
 		e.word(vpn)
-		e.word(st.pages[vpn])
+		e.word(st.used[i])
 	}
 }
 
@@ -157,10 +151,17 @@ func (d *stateDecoder) tlb() *TLBState {
 	if d.err != nil {
 		return st
 	}
-	st.pages = make(map[uint64]uint64, n)
+	if n > st.entries {
+		d.err = fmt.Errorf("mem: warm-state TLB holds %d translations in %d entries", n, st.entries)
+		return st
+	}
+	st.vpns = make([]uint64, n)
+	st.used = make([]uint64, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		vpn := d.word()
-		st.pages[vpn] = d.word()
+		st.vpns[i], st.used[i] = d.word(), d.word()
+		if i > 0 && st.vpns[i] <= st.vpns[i-1] && d.err == nil {
+			d.err = fmt.Errorf("mem: warm-state TLB pages out of order")
+		}
 	}
 	return st
 }

@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // TLB models the host core's data TLB, which Widx shares instead of having
 // its own translation hardware (Section 4.3). Two properties matter to the
 // timing model:
@@ -14,9 +16,19 @@ type TLB struct {
 	inFlight int
 	pageBits uint
 
-	// Fully associative LRU over virtual page numbers.
-	pages map[uint64]uint64 // vpn -> last-use clock
-	clock uint64
+	// Fully associative LRU over virtual page numbers. The n resident
+	// translations occupy vpns[:n] (in no particular order) with their
+	// last-use clocks in used[:n]; clocks are unique, so the LRU victim is
+	// the single entry with the smallest one.
+	vpns []uint64
+	used []uint64
+	n    int
+	// index is an open-addressed, linearly probed hash of vpn to entry
+	// position plus one (0 marks an empty cell); its size is a power of two
+	// at least twice the entry count.
+	index     []int32
+	indexBits uint
+	clock     uint64
 
 	// Completion cycles of outstanding page walks (bounded by inFlight).
 	walks []uint64
@@ -28,19 +40,19 @@ type TLB struct {
 // NewTLB builds a TLB with the given entry count, page size, walk latency and
 // number of concurrent walks.
 func NewTLB(entries, pageBytes int, walkCyc uint64, inFlight int) *TLB {
-	if entries <= 0 || inFlight <= 0 || pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
+	if entries <= 0 || entries > maxTLBEntries || inFlight <= 0 || pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
 		panic("mem: invalid TLB parameters")
 	}
-	bits := uint(0)
-	for 1<<bits < pageBytes {
-		bits++
-	}
+	indexBits := uint(bits.Len(uint(2*entries - 1)))
 	return &TLB{
-		entries:  entries,
-		walkCyc:  walkCyc,
-		inFlight: inFlight,
-		pageBits: bits,
-		pages:    make(map[uint64]uint64, entries),
+		entries:   entries,
+		walkCyc:   walkCyc,
+		inFlight:  inFlight,
+		pageBits:  uint(bits.TrailingZeros(uint(pageBytes))),
+		vpns:      make([]uint64, entries),
+		used:      make([]uint64, entries),
+		index:     make([]int32, 1<<indexBits),
+		indexBits: indexBits,
 	}
 }
 
@@ -50,8 +62,8 @@ func NewTLB(entries, pageBytes int, walkCyc uint64, inFlight int) *TLB {
 func (t *TLB) Translate(addr uint64, cycle uint64) (ready uint64, miss bool) {
 	vpn := addr >> t.pageBits
 	t.clock++
-	if _, ok := t.pages[vpn]; ok {
-		t.pages[vpn] = t.clock
+	if e := t.lookup(vpn); e >= 0 {
+		t.used[e] = t.clock
 		t.hits++
 		return cycle, false
 	}
@@ -90,19 +102,83 @@ func (t *TLB) Translate(addr uint64, cycle uint64) (ready uint64, miss bool) {
 	return done, true
 }
 
-// insert adds the page to the TLB, evicting the LRU entry if full.
+// home returns vpn's preferred index cell (Fibonacci hashing).
+func (t *TLB) home(vpn uint64) int {
+	return int((vpn * 0x9e3779b97f4a7c15) >> (64 - t.indexBits))
+}
+
+// lookup returns vpn's entry position, or -1 when it is not resident.
+func (t *TLB) lookup(vpn uint64) int {
+	mask := len(t.index) - 1
+	for i := t.home(vpn); ; i = (i + 1) & mask {
+		e := int(t.index[i]) - 1
+		if e < 0 || t.vpns[e] == vpn {
+			return e
+		}
+	}
+}
+
+// cell returns the index cell holding entry position e.
+func (t *TLB) cell(e int) int {
+	mask := len(t.index) - 1
+	i := t.home(t.vpns[e])
+	for int(t.index[i])-1 != e {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// insert refreshes or adds the page at the current clock. A full TLB evicts
+// its LRU entry first, even when vpn is already resident (a warm-up
+// re-touch), exactly as the model always has.
 func (t *TLB) insert(vpn uint64) {
-	if len(t.pages) >= t.entries {
-		var victim uint64
-		oldest := ^uint64(0)
-		for p, used := range t.pages {
-			if used < oldest {
-				oldest, victim = used, p
+	if t.n >= t.entries {
+		victim := 0
+		for e := 1; e < t.n; e++ {
+			if t.used[e] < t.used[victim] {
+				victim = e
 			}
 		}
-		delete(t.pages, victim)
+		t.remove(victim)
 	}
-	t.pages[vpn] = t.clock
+	if e := t.lookup(vpn); e >= 0 {
+		t.used[e] = t.clock
+		return
+	}
+	t.add(vpn, t.clock)
+}
+
+// add appends a translation known not to be resident.
+func (t *TLB) add(vpn, used uint64) {
+	mask := len(t.index) - 1
+	i := t.home(vpn)
+	for t.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.vpns[t.n], t.used[t.n] = vpn, used
+	t.n++
+	t.index[i] = int32(t.n)
+}
+
+// remove deletes entry position e: the last entry moves into its position
+// and the index closes the gap by backward-shift deletion.
+func (t *TLB) remove(e int) {
+	mask := len(t.index) - 1
+	hole := t.cell(e)
+	for i := (hole + 1) & mask; t.index[i] != 0; i = (i + 1) & mask {
+		// An entry may fill the hole if its home does not lie cyclically
+		// in (hole, i].
+		if h := t.home(t.vpns[t.index[i]-1]); (i-h)&mask >= (i-hole)&mask {
+			t.index[hole] = t.index[i]
+			hole = i
+		}
+	}
+	t.index[hole] = 0
+	if last := t.n - 1; e != last {
+		t.index[t.cell(last)] = int32(e + 1)
+		t.vpns[e], t.used[e] = t.vpns[last], t.used[last]
+	}
+	t.n--
 }
 
 // WarmPage pre-installs the translation for addr, used when the simulator
@@ -132,7 +208,13 @@ func (t *TLB) ResetCounters() { t.hits, t.misses = 0, 0 }
 
 // Reset clears content, counters and outstanding walks.
 func (t *TLB) Reset() {
-	t.pages = make(map[uint64]uint64, t.entries)
+	t.clear()
 	t.walks = nil
 	t.clock, t.hits, t.misses = 0, 0, 0
+}
+
+// clear drops every resident translation.
+func (t *TLB) clear() {
+	clear(t.index)
+	t.n = 0
 }

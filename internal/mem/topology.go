@@ -188,6 +188,19 @@ const (
 	maxMemLatencyNs  = 100_000 // 100 us
 )
 
+// Resource counts are bounded the same way: each sizes state the model
+// allocates up front or walks on every access (occupancy histograms, the
+// outstanding-miss list, TLB arrays, walk slots), so a count far past any
+// real design is rejected rather than left to exhaust host memory.
+// maxL1Ports also keeps the port count within a slot-schedule counter.
+const (
+	maxL1Ports     = 1_024
+	maxMSHRs       = 65_536
+	maxFillBuffers = 65_536
+	maxTLBEntries  = 65_536
+	maxTLBInFlight = 65_536
+)
+
 // Validate reports shared-level configuration errors.
 func (s SharedSpec) Validate() error {
 	switch {
@@ -205,8 +218,8 @@ func (s SharedSpec) Validate() error {
 		return errConfig("LLCLatencyCyc must be in [1, 10000] cycles")
 	case s.InterconnectCyc > maxXbarCyc:
 		return errConfig("InterconnectCyc is absurdly large")
-	case s.FillBuffers <= 0:
-		return errConfig("FillBuffers must be positive")
+	case s.FillBuffers <= 0 || s.FillBuffers > maxFillBuffers:
+		return errConfig("FillBuffers must be in [1, 65536]")
 	case s.MemLatencyNs <= 0 || math.IsInf(s.MemLatencyNs, 0) || math.IsNaN(s.MemLatencyNs) || s.MemLatencyNs > maxMemLatencyNs:
 		return errConfig("MemLatencyNs must be in (0, 100000] nanoseconds")
 	case s.MemControllers <= 0:
@@ -228,14 +241,16 @@ func (a AgentSpec) Validate(shared SharedSpec) error {
 		return errConfig("associativities must be positive")
 	case a.L1SizeBytes%(shared.BlockBytes*a.L1Assoc) != 0:
 		return errConfig("L1 size must be divisible by block size times associativity")
-	case a.L1Ports <= 0:
-		return errConfig("L1Ports must be positive")
+	case a.L1Ports <= 0 || a.L1Ports > maxL1Ports:
+		return errConfig("L1Ports must be in [1, 1024]")
 	case a.L1LatencyCyc == 0 || a.L1LatencyCyc > maxL1LatencyCyc:
 		return errConfig("L1LatencyCyc must be in [1, 1000] cycles")
-	case a.MSHRs <= 0:
-		return errConfig("MSHRs must be positive")
-	case a.TLBEntries <= 0 || a.TLBInFlight <= 0:
-		return errConfig("TLB parameters must be positive")
+	case a.MSHRs <= 0 || a.MSHRs > maxMSHRs:
+		return errConfig("MSHRs must be in [1, 65536]")
+	case a.TLBEntries <= 0 || a.TLBEntries > maxTLBEntries:
+		return errConfig("TLBEntries must be in [1, 65536]")
+	case a.TLBInFlight <= 0 || a.TLBInFlight > maxTLBInFlight:
+		return errConfig("TLBInFlight must be in [1, 65536]")
 	case a.TLBWalkCyc == 0 || a.TLBWalkCyc > maxTLBWalkCyc:
 		return errConfig("TLBWalkCyc must be in [1, 1000000] cycles")
 	case a.PageBytes <= 0 || a.PageBytes&(a.PageBytes-1) != 0:

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -104,6 +105,34 @@ func TestTopologyValidateRejectsBadSpecs(t *testing.T) {
 	top.Private.LLCWays = 100
 	if err := top.Validate(); err == nil {
 		t.Error("partitioning a 128-way LLC accepted (mask would wrap)")
+	}
+	// Resource counts are bounded: each sizes state the model allocates or
+	// walks per access, so an absurd count must be an error rather than a
+	// host out-of-memory crash. The bounds themselves are accepted.
+	for name, c := range map[string]struct {
+		max int
+		set func(*Topology, int)
+	}{
+		"FillBuffers": {maxFillBuffers, func(t *Topology, n int) { t.Shared.FillBuffers = n }},
+		"L1Ports":     {maxL1Ports, func(t *Topology, n int) { t.Private.L1Ports = n }},
+		"MSHRs":       {maxMSHRs, func(t *Topology, n int) { t.Private.MSHRs = n }},
+		"TLBEntries":  {maxTLBEntries, func(t *Topology, n int) { t.Private.TLBEntries = n }},
+		"TLBInFlight": {maxTLBInFlight, func(t *Topology, n int) { t.Private.TLBInFlight = n }},
+	} {
+		top = DefaultTopology()
+		c.set(&top, c.max)
+		if err := top.Validate(); err != nil {
+			t.Errorf("%s at its bound %d rejected: %v", name, c.max, err)
+		}
+		for _, bad := range []int{c.max + 1, 2_000_000_000} {
+			c.set(&top, bad)
+			if err := top.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s=%d: got %v, want an error naming %s", name, bad, err, name)
+			}
+		}
+	}
+	if maxL1Ports > maxSlotCapacity {
+		t.Errorf("maxL1Ports %d does not fit the slot-schedule counter (%d)", maxL1Ports, maxSlotCapacity)
 	}
 	// NewAgent validates the spec it is handed, not just the default.
 	func() {
