@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // AccessType distinguishes the memory operations the timing model cares
 // about. Stores complete into a store buffer and are off the critical path;
@@ -131,12 +128,10 @@ type Hierarchy struct {
 
 	shared *SharedLevel
 
-	// occHist is the time-weighted histogram of the agent's own live MSHRs
-	// (the private miss-handling tier); occLast/occStarted anchor its
-	// accounting over the agent's own access stream.
-	occHist    []uint64
-	occLast    uint64
-	occStarted bool
+	// occ is the time-weighted histogram of the agent's own live MSHRs (the
+	// private miss-handling tier), accounted over the agent's own access
+	// stream.
+	occ occupancy
 
 	stats Stats
 }
@@ -361,7 +356,7 @@ func (h *Hierarchy) TLB() *TLB { return h.tlb }
 // shared fill-buffer histogram lives on SharedLevel.Stats()).
 func (h *Hierarchy) Stats() Stats {
 	s := h.stats
-	s.MSHROccupancy = append([]uint64(nil), h.occHist...)
+	s.MSHROccupancy = append([]uint64(nil), h.occ.hist...)
 	return s
 }
 
@@ -384,19 +379,9 @@ func (h *Hierarchy) ResetCounters() {
 // resetPrivateCounters clears the agent-private half of the counters.
 func (h *Hierarchy) resetPrivateCounters() {
 	h.stats = Stats{}
-	h.occHist = make([]uint64, h.spec.MSHRs+1)
-	h.occStarted = false
+	h.occ = newOccupancy(h.spec.MSHRs)
 	h.l1.ResetCounters()
 	h.tlb.ResetCounters()
-}
-
-// recordOccupancy advances the agent's private MSHR-occupancy histogram to
-// now, walking only the agent's own outstanding entries. The agent's own
-// requests are monotonic (per-agent scheduler contract), so the private
-// histogram is exact over the agent's access span.
-func (h *Hierarchy) recordOccupancy(now uint64) {
-	h.occStarted, h.occLast = advanceOccupancy(h.occHist, h.shared.mshrs, h,
-		h.occStarted, h.occLast, now)
 }
 
 // blockOf returns addr's cache-block address.
@@ -419,13 +404,7 @@ func (h *Hierarchy) acquirePort(want uint64) uint64 {
 // per-accelerator saturation. The shared fill-buffer gate
 // (SharedLevel.acquireFillBuffer) runs after it.
 func (h *Hierarchy) acquireMSHR(want uint64) (start uint64, stall uint64) {
-	live := h.shared.completesAfter(want, h)
-	if len(live) < h.spec.MSHRs {
-		return want, 0
-	}
-	slices.Sort(live)
-	start = live[len(live)-h.spec.MSHRs]
-	return start, start - want
+	return gateStart(h.shared.completesAfter(want, h), h.spec.MSHRs, want)
 }
 
 // Access issues one memory operation at the requested cycle and returns its
@@ -437,8 +416,12 @@ func (h *Hierarchy) acquireMSHR(want uint64) (start uint64, stall uint64) {
 func (h *Hierarchy) Access(addr uint64, cycle uint64, typ AccessType) Result {
 	sl := h.shared
 	sl.checkOrder(h.spec.Name, addr, cycle, typ)
-	sl.recordOccupancy(cycle)
-	h.recordOccupancy(cycle)
+	// Fold the time since the previous access into the shared fill-buffer
+	// histogram and the agent's private MSHR histogram. The agent's own
+	// requests are monotonic (per-agent scheduler contract), so the
+	// private histogram is exact over the agent's access span.
+	sl.occ.advance(sl.mshrs, nil, cycle)
+	h.occ.advance(sl.mshrs, h, cycle)
 
 	switch typ {
 	case Load:
@@ -536,7 +519,7 @@ func (h *Hierarchy) Access(addr uint64, cycle uint64, typ AccessType) Result {
 		sl.llc.InsertWays(addr, h.wayMask)
 	}
 	h.l1.InsertWays(addr, 0)
-	sl.mshrs = append(sl.mshrs, mshrEntry{block: block, start: start, complete: complete, owner: h})
+	sl.addMSHR(mshrEntry{block: block, start: start, complete: complete, owner: h})
 
 	res.CompleteCycle = complete
 	if typ != Load {

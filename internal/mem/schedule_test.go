@@ -130,6 +130,23 @@ var scheduleStreams = []scheduleStream{
 		},
 	},
 	{
+		// Every other request lags the clock by just under the prune
+		// window, so it lands just above the horizon, on slots that earlier
+		// lagging requests filled: the chunk holding the horizon must keep
+		// its counts across prunes.
+		name: "window-edge",
+		gen: func(r *rand.Rand, slotCycles uint64, emit func(uint64)) {
+			now := uint64(0)
+			for range 100_000 {
+				now += r.Uint64N(5) * slotCycles
+				emit(now)
+				if lag := (pruneWindow - 1 - r.Uint64N(6000)) * slotCycles; lag < now {
+					emit(now - lag)
+				}
+			}
+		},
+	},
+	{
 		// A far-future request, then a run of requests from the old
 		// present: once the next prune moves the horizon behind the
 		// far-future grant, the last 2000 or so are granted at the horizon.

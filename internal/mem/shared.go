@@ -45,13 +45,10 @@ type SharedLevel struct {
 	strictOrder bool
 	lastRequest uint64
 
-	// occHist is the time-weighted histogram of live fill-buffer occupancy
-	// across all agents; occLast/occStarted anchor its accounting (see
-	// Stats). Each agent additionally keeps its own MSHR-occupancy
-	// histogram over its private tier.
-	occHist    []uint64
-	occLast    uint64
-	occStarted bool
+	// occ is the time-weighted histogram of live fill-buffer occupancy
+	// across all agents (see Stats). Each agent additionally keeps its own
+	// MSHR-occupancy histogram over its private tier.
+	occ occupancy
 
 	// stats independently accumulates shared-resource activity (LLC lookups,
 	// off-chip blocks, MSHR stalls, combined misses). Each agent's Hierarchy
@@ -81,7 +78,7 @@ func NewSharedLevel(top Topology) *SharedLevel {
 	for i := range sl.mcs {
 		sl.mcs[i] = newSlotSchedule(top.Shared.memServiceSlotCycles(), 1)
 	}
-	sl.occHist = make([]uint64, top.Shared.FillBuffers+1)
+	sl.occ = newOccupancy(top.Shared.FillBuffers)
 	return sl
 }
 
@@ -107,7 +104,7 @@ func (sl *SharedLevel) NewAgent(spec AgentSpec) *Hierarchy {
 		tlb:     NewTLB(spec.TLBEntries, spec.PageBytes, spec.TLBWalkCyc, spec.TLBInFlight),
 		ports:   newSlotSchedule(1, spec.L1Ports),
 	}
-	h.occHist = make([]uint64, spec.MSHRs+1)
+	h.occ = newOccupancy(spec.MSHRs)
 	sl.agents = append(sl.agents, h)
 	return h
 }
@@ -138,7 +135,7 @@ func (sl *SharedLevel) SetStrictOrder(on bool) { sl.strictOrder = on }
 // zero here; read them from the per-agent views.
 func (sl *SharedLevel) Stats() Stats {
 	s := sl.stats
-	s.MSHROccupancy = append([]uint64(nil), sl.occHist...)
+	s.MSHROccupancy = append([]uint64(nil), sl.occ.hist...)
 	return s
 }
 
@@ -169,7 +166,7 @@ func (sl *SharedLevel) SystemStats() Stats {
 	for _, a := range sl.agents {
 		sum = sum.Add(a.stats)
 	}
-	sum.MSHROccupancy = append([]uint64(nil), sl.occHist...)
+	sum.MSHROccupancy = append([]uint64(nil), sl.occ.hist...)
 	return sum
 }
 
@@ -185,12 +182,11 @@ func (sl *SharedLevel) ResetCounters() {
 }
 
 // resetSharedCounters clears the shared-level half of the counters. The
-// occupancy histogram lives only in occHist; Stats() attaches a copy of it,
-// so sl.stats itself never carries one.
+// occupancy histogram lives only in occ; Stats() attaches a copy of it, so
+// sl.stats itself never carries one.
 func (sl *SharedLevel) resetSharedCounters() {
 	sl.stats = Stats{}
-	sl.occHist = make([]uint64, sl.top.Shared.FillBuffers+1)
-	sl.occStarted = false
+	sl.occ = newOccupancy(sl.top.Shared.FillBuffers)
 	sl.llc.ResetCounters()
 }
 
@@ -213,7 +209,7 @@ func (sl *SharedLevel) checkOrder(agent string, addr uint64, cycle uint64, typ A
 func (sl *SharedLevel) reapMSHRs(cycle uint64) {
 	live := sl.mshrs[:0]
 	for _, e := range sl.mshrs {
-		if e.complete > cycle || e.complete > sl.occLast || e.complete > e.owner.occLast {
+		if e.complete > cycle || e.complete > sl.occ.last || e.complete > e.owner.occ.last {
 			live = append(live, e)
 		}
 	}
@@ -230,57 +226,12 @@ func (sl *SharedLevel) findMSHR(block uint64, cycle uint64) (mshrEntry, bool) {
 	return mshrEntry{}, false
 }
 
-// recordOccupancy advances the fill-buffer occupancy histogram from the last
-// accounted cycle to now, walking the outstanding-miss completion events in
-// time order so every intermediate occupancy level is charged its cycles.
-// Requests arriving out of order (now <= occLast) contribute nothing; under
-// the execution core's monotonic issue order the histogram is exact.
-func (sl *SharedLevel) recordOccupancy(now uint64) {
-	sl.occStarted, sl.occLast = advanceOccupancy(sl.occHist, sl.mshrs, nil,
-		sl.occStarted, sl.occLast, now)
-}
-
-// advanceOccupancy folds the span [last, now) into hist, counting at each
-// instant the entries live at that instant — all of them when owner is nil,
-// or only the owner's. It returns the updated (started, last) anchors. The
-// top bucket clamps occupancies at or above the histogram's capacity.
-func advanceOccupancy(hist []uint64, entries []mshrEntry, owner *Hierarchy,
-	started bool, last, now uint64) (bool, uint64) {
-	if !started {
-		// Anchor accounting at the phase's first access rather than
-		// charging the span from cycle zero (or from a previous phase).
-		return true, now
-	}
-	for t := last; t < now; {
-		live := 0
-		next := now
-		for _, e := range entries {
-			if owner != nil && e.owner != owner {
-				continue
-			}
-			// An entry occupies its slot from allocation to fill return;
-			// both edges bound the constant-occupancy segment.
-			if e.start <= t && e.complete > t {
-				live++
-			}
-			if e.start > t && e.start < next {
-				next = e.start
-			}
-			if e.complete > t && e.complete < next {
-				next = e.complete
-			}
-		}
-		if live < len(hist) {
-			hist[live] += next - t
-		} else if n := len(hist); n > 0 {
-			hist[n-1] += next - t
-		}
-		t = next
-	}
-	if now > last {
-		last = now
-	}
-	return true, last
+// addMSHR records a newly allocated miss and tells both occupancy
+// trackers that count it: the shared pool's and the owning agent's.
+func (sl *SharedLevel) addMSHR(e mshrEntry) {
+	sl.mshrs = append(sl.mshrs, e)
+	sl.occ.add(e)
+	e.owner.occ.add(e)
 }
 
 // acquireFillBuffer blocks (advances time) until a shared fill buffer is
@@ -295,13 +246,20 @@ func (sl *SharedLevel) acquireFillBuffer(want uint64) (start uint64, stall uint6
 	sl.reapMSHRs(want)
 	// Completions of entries still in flight at want, i.e. spans that
 	// overlap the candidate allocation.
-	live := sl.completesAfter(want, nil)
-	if len(live) < sl.top.Shared.FillBuffers {
+	return gateStart(sl.completesAfter(want, nil), sl.top.Shared.FillBuffers, want)
+}
+
+// gateStart returns the earliest cycle at or after want at which fewer than
+// limit of the given live entries (their completion cycles) are still in
+// flight, and the stall that costs: want itself when fewer than limit are
+// live, otherwise the cycle by which all but limit-1 of them have returned.
+// It sorts live in place.
+func gateStart(live []uint64, limit int, want uint64) (start uint64, stall uint64) {
+	if len(live) < limit {
 		return want, 0
 	}
-	// Wait until all but (cap-1) of the overlapping fills have returned.
 	slices.Sort(live)
-	start = live[len(live)-sl.top.Shared.FillBuffers]
+	start = live[len(live)-limit]
 	return start, start - want
 }
 
