@@ -6,9 +6,9 @@ import (
 )
 
 // hotStream is a steady-state access stream over a default machine: hit
-// replays one block, miss walks a region far larger than the LLC with a
-// stride that also lands on a new page (and so misses the TLB) every
-// access.
+// replays one block; miss cycles through 2^17 blocks, 32 per LLC set, with
+// a stride that also lands on a new page every access, so each access
+// misses the TLB, the L1 and the LLC and takes a memory-controller grant.
 type hotStream struct {
 	h     *Hierarchy
 	hit   bool
@@ -29,7 +29,7 @@ func newHotStream(hit bool) *hotStream {
 func (s *hotStream) step() {
 	addr := uint64(0x40000000)
 	if !s.hit {
-		addr += (s.i % 4096) * (2<<20 + 64)
+		addr += (s.i % (1 << 17)) * (2<<20 + 64)
 		s.cycle += 40
 	} else {
 		s.cycle++
@@ -45,6 +45,9 @@ func (s *hotStream) step() {
 func TestHotPathAllocationFree(t *testing.T) {
 	for _, hit := range []bool{true, false} {
 		s := newHotStream(hit)
+		if st := s.h.Stats(); !hit && (st.LLCMisses < st.Loads/2 || st.TLBMisses < st.Loads/2) {
+			t.Fatalf("miss stream mostly hits: %d loads, %d LLC misses, %d TLB misses", st.Loads, st.LLCMisses, st.TLBMisses)
+		}
 		if allocs := testing.AllocsPerRun(20_000, s.step); allocs != 0 {
 			t.Errorf("Access (hit=%v) allocates %v times per call", hit, allocs)
 		}
@@ -75,8 +78,7 @@ func BenchmarkSlotScheduleReserve(b *testing.B) {
 	}
 	s := newSlotSchedule(1, 2)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := range b.N {
+	for i := 0; b.Loop(); i++ {
 		// Each lap of the request slice replays it one lap later.
 		lap := uint64(i>>16) * (now + 64)
 		s.reserve(wants[i&(1<<16-1)] + lap)
@@ -93,8 +95,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			s := newHotStream(c.hit)
 			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
+			for b.Loop() {
 				s.step()
 			}
 		})

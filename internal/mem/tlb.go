@@ -130,7 +130,7 @@ func (t *TLB) cell(e int) int {
 
 // insert refreshes or adds the page at the current clock. A full TLB evicts
 // its LRU entry first, even when vpn is already resident (a warm-up
-// re-touch), exactly as the model always has.
+// re-touch): warm-state snapshots depend on that victim choice.
 func (t *TLB) insert(vpn uint64) {
 	if t.n >= t.entries {
 		victim := 0
