@@ -1,5 +1,6 @@
-// Quickstart: build a hash index, probe it through the Widx accelerator and
-// compare against the out-of-order and in-order baseline cores.
+// Quickstart: probe a hash-join index on the out-of-order baseline core and
+// on the Widx accelerator with 1, 2 and 4 walkers, then co-run two Widx
+// accelerators next to an OoO core on one shared memory hierarchy.
 //
 // Run with:
 //
@@ -10,85 +11,52 @@ import (
 	"fmt"
 	"log"
 
-	"widx/internal/core"
-	"widx/internal/stats"
+	"widx/internal/join"
+	"widx/internal/sim"
 )
 
 func main() {
-	// 1. Create a simulated system with the paper's Table 2 memory hierarchy.
-	sys, err := core.NewSystem(core.Options{})
+	// 1. A small experiment configuration: the paper's Table 2 machine,
+	// the Small kernel index at 1/128 of the paper's size, and 8K probes
+	// simulated in detail per design point.
+	cfg := sim.DefaultConfig()
+	cfg.Scale = 1.0 / 128
+	cfg.SampleProbes = 8000
+
+	// 2. Compare the designs on one index: the OoO baseline replays the
+	// software probe traces, Widx runs the generated dispatcher/walker/
+	// producer programs with 1, 2 and 4 walkers.
+	exp, err := cfg.RunKernel([]join.SizeClass{join.Small})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// 2. Build a hash index over 100K build-side keys (the inner relation of
-	// a join), using MonetDB's indirect node layout and a robust hash.
-	rng := stats.NewRNG(2013)
-	buildKeys := make([]uint64, 100_000)
-	seen := make(map[uint64]bool, len(buildKeys))
-	for i := range buildKeys {
-		for {
-			k := rng.Uint64()>>1 + 1
-			if !seen[k] {
-				buildKeys[i], seen[k] = k, true
-				break
-			}
-		}
+	fmt.Printf("%-10s %14s %10s\n", "design", "cycles/tuple", "speedup")
+	fmt.Printf("%-10s %14.1f %9.2fx\n", "ooo", exp.OoOCyclesPerTuple[join.Small], 1.0)
+	for _, p := range exp.Points {
+		fmt.Printf("%-10s %14.1f %9.2fx\n", fmt.Sprintf("widx-%dw", p.Walkers), p.CyclesPerTuple, p.Speedup)
 	}
-	index, err := sys.BuildIndex(core.IndexSpec{
-		Name:   "quickstart",
-		Keys:   buildKeys,
-		Layout: core.LayoutIndirect,
-		Hash:   core.HashRobust,
-	})
+
+	// 3. The paper's CMP deployment: two Widx accelerators and an OoO core
+	// co-run on ONE shared LLC, MSHR pool and memory-bandwidth schedule,
+	// each probing its own partition. Every agent is compared against its
+	// solo run on an uncontended hierarchy. Medium partitions at 1/8 scale
+	// fit the LLC alone but overflow it together.
+	specs, err := sim.ParseAgents("2xwidx:4w+ooo")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("index: %d buckets, %.2f nodes/bucket, %.1f KB working set\n",
-		index.Buckets(), index.AvgNodesPerBucket(), float64(index.FootprintBytes())/1024)
-
-	// 3. Probe with 50K outer-relation keys (all of which join).
-	probeKeys := make([]uint64, 50_000)
-	for i := range probeKeys {
-		probeKeys[i] = buildKeys[rng.Intn(len(buildKeys))]
-	}
-
-	// 4. Compare every design: OoO baseline, in-order core, Widx with 1, 2
-	// and 4 walkers.
-	cmp, err := sys.Compare(index, probeKeys)
+	cmpCfg := cfg
+	cmpCfg.Scale = 1.0 / 8
+	cmpCfg.SampleProbes = 2000
+	co, err := cmpCfg.RunCMP(join.Medium, specs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%-10s %14s %12s %10s %10s\n", "design", "cycles/tuple", "speedup", "energy", "matches")
-	for _, name := range []string{"ooo", "in-order", "widx-1w", "widx-2w", "widx-4w"} {
-		r := cmp.Results[name]
-		fmt.Printf("%-10s %14.1f %11.2fx %9.2fmJ %10d\n",
-			name, r.CyclesPerTuple, cmp.IndexSpeedup[name], r.EnergyJ*1e3, r.Matches)
-	}
-	fmt.Printf("\nWidx (4 walkers) speedup over OoO: %.2fx, energy reduction: %.0f%%\n",
-		cmp.IndexSpeedup["widx-4w"], 100*cmp.EnergyReduction["widx-4w"])
-
-	// 5. The system API: co-schedule several agents — here two Widx
-	// accelerators next to an OoO core — on ONE shared LLC, MSHR pool and
-	// memory-bandwidth schedule, each probing its own key stream. This is
-	// the paper's CMP deployment; the per-agent stats attribute the shared
-	// pressure to its source.
-	shared, err := sys.ProbeShared(index, core.SharedProbeRequest{
-		Agents: []core.AgentSpec{
-			{Name: "widx-a", Design: core.Widx(4)},
-			{Name: "widx-b", Design: core.Widx(4)},
-			{Name: "host", Design: core.OoO()},
-		},
-		Keys: [][]uint64{probeKeys[:15_000], probeKeys[15_000:30_000], probeKeys[30_000:45_000]},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nshared-memory co-run (3 agents, one hierarchy):\n")
-	for _, a := range shared.Agents {
-		fmt.Printf("  %-8s %10.1f cycles/tuple, %6d LLC misses, %5d MSHR-stall cycles\n",
-			a.Name, a.CyclesPerTuple, a.MemStats.LLCMisses, a.MemStats.MSHRStallCycles)
+	fmt.Printf("\nshared-memory co-run (%d agents, one hierarchy):\n", len(co.Agents))
+	for _, a := range co.Agents {
+		fmt.Printf("  %-10s %8.1f cycles/tuple (solo %6.1f, %.2fx slowdown), %6d LLC misses\n",
+			a.Name, a.CyclesPerTuple, a.SoloCyclesPerTuple, a.Slowdown, a.MemStats.LLCMisses)
 	}
 	fmt.Printf("  system: %d cycles, shared MSHR pool full %.0f%% of cycles, %.0f%% off-chip bandwidth\n",
-		shared.SystemCycles, 100*shared.MSHRSaturationShare, 100*shared.BandwidthUtilization)
+		co.SystemCycles, 100*co.MSHRSaturationShare, 100*co.BandwidthUtilization)
 }

@@ -25,7 +25,6 @@ import (
 	"widx/internal/hashidx"
 	"widx/internal/join"
 	"widx/internal/mem"
-	"widx/internal/program"
 	"widx/internal/sampling"
 	"widx/internal/stats"
 	"widx/internal/structures"
@@ -257,9 +256,8 @@ type cmpRunner struct {
 // the software reference's probe traces and match stream, and — for Widx
 // agents — the program bundle pointing at a private result region. Traces
 // are built for every agent kind (host cores replay them; sampled runs warm
-// fast-forward spans from them), and the matches/bounds pair carries the
-// reference output Widx agents fast-forward through and fingerprint-verify
-// against.
+// fast-forward spans from them), and ref carries the reference output Widx
+// agents fast-forward through and fingerprint-verify against.
 type cmpAgentWorkload struct {
 	name    string
 	regions [][2]uint64
@@ -267,8 +265,7 @@ type cmpAgentWorkload struct {
 	keys    int
 	progs   *structures.Programs
 	traces  []hashidx.ProbeTrace
-	matches []uint64
-	bounds  []int
+	ref     matchRef
 }
 
 // span returns the workload restricted to probes [sp.Start, sp.End): the
@@ -339,22 +336,16 @@ func (c Config) buildCMPWorkload(size join.SizeClass, specs []CMPAgentSpec, stru
 			as.Write64(w.keyBase+uint64(j)*8, k)
 		}
 		w.traces = make([]hashidx.ProbeTrace, perAgent)
-		w.bounds = make([]int, perAgent)
+		w.ref.bounds = make([]int, perAgent)
 		for j, k := range probeKeys {
 			w.traces[j] = tbl.ProbeFrom(k, w.keyBase+uint64(j)*8).Trace
-			w.matches = append(w.matches, tbl.ProbeMatches(k)...)
-			w.bounds[j] = len(w.matches)
+			w.ref.matches = append(w.ref.matches, tbl.ProbeMatches(k)...)
+			w.ref.bounds[j] = len(w.ref.matches)
 		}
 		if spec.Kind == AgentWidx {
 			resultBase := as.AllocAligned(w.name+".results", uint64(perAgent)*8+64)
-			bundle, err := program.ForTable(tbl, resultBase)
-			if err != nil {
+			if w.progs, err = hashJoinPrograms(tbl, resultBase); err != nil {
 				return nil, nil, err
-			}
-			w.progs = &structures.Programs{
-				Dispatcher: bundle.Dispatcher,
-				Walker:     bundle.Walker,
-				Producer:   bundle.Producer,
 			}
 		}
 	}
@@ -389,8 +380,7 @@ func (c Config) buildCMPStructurePartition(as *vm.AddressSpace, w *cmpAgentWorkl
 	w.keys = inst.ProbeCount()
 	matches, traces := inst.Reference()
 	w.traces = traces
-	w.matches = matches
-	w.bounds = inst.MatchBounds()
+	w.ref = matchRef{matches: matches, bounds: inst.MatchBounds()}
 	if spec.Kind == AgentWidx {
 		resultBase := as.AllocAligned(w.name+".results", uint64(len(matches))*8+64)
 		w.progs, err = inst.Programs(resultBase, structures.ProgramOptions{})
@@ -553,18 +543,28 @@ func newCMPRunner(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w
 	}
 }
 
-// runCMPSoloSampled executes one agent's stream alone through the plan on
-// its already partition-warmed hierarchy: fast-forward spans warm from the
+// output returns the assembler of the agent's match stream: a Widx agent's
+// is checked against its partition's reference; host cores emit no
+// matches, so theirs has no reference and stays empty.
+func (w *cmpAgentWorkload) output() *matchStream {
+	if w.progs == nil {
+		return &matchStream{}
+	}
+	return &matchStream{ref: &w.ref}
+}
+
+// runCMPSolo executes one agent's stream alone through the plan on its
+// already partition-warmed hierarchy: fast-forward spans warm from the
 // reference traces (a Widx agent's reference matches join its output
 // stream), detailed spans run a span-sized engine resuming at the cycle the
 // previous span ended. The returned cycle and memory aggregates cover the
 // measured spans only; Widx output is fingerprint-verified against the full
 // reference before returning.
-func (c Config) runCMPSoloSampled(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload, plan sampling.Plan) (uint64, mem.Stats, []windowSample, error) {
+func (c Config) runCMPSolo(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload, plan sampling.Plan) (uint64, mem.Stats, []windowSample, error) {
 	var cycles, cursor uint64
 	var memStats mem.Stats
 	var wins []windowSample
-	var stream []uint64
+	stream := w.output()
 	detailed := func(sp sampling.Span) error {
 		run, err := newCMPRunner(hier, spec, as, w.span(sp), c.queueDepth(), cursor)
 		if err != nil {
@@ -579,7 +579,7 @@ func (c Config) runCMPSoloSampled(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm
 		}
 		cursor += cyc
 		if run.matches != nil {
-			stream = append(stream, run.matches()...)
+			stream.detailed(run.matches())
 		}
 		if sp.Kind != sampling.Measure {
 			return nil
@@ -590,8 +590,8 @@ func (c Config) runCMPSoloSampled(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm
 		return nil
 	}
 	ff := func(sp sampling.Span) error {
-		if w.progs != nil {
-			stream = append(stream, matchSegment(w.matches, w.bounds, sp.Start, sp.End)...)
+		if stream.ref != nil {
+			stream.fastForward(sp)
 		}
 		ffWarm(hier, w.traces[sp.Start:sp.End])
 		return nil
@@ -602,10 +602,8 @@ func (c Config) runCMPSoloSampled(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm
 	if err := plan.Run(ff, detailed); err != nil {
 		return 0, mem.Stats{}, nil, err
 	}
-	if w.progs != nil {
-		if err := verifySampledStream(w.name+" solo", stream, w.matches); err != nil {
-			return 0, mem.Stats{}, nil, err
-		}
+	if err := stream.verify(w.name + " solo"); err != nil {
+		return 0, mem.Stats{}, nil, err
 	}
 	return cycles, memStats, wins, nil
 }
@@ -659,13 +657,11 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	exp := &CMPExperiment{Size: size, Structure: structure, Agents: make([]CMPAgentResult, k)}
 
 	// Every agent's partition carries the same probe-stream length, so one
-	// plan drives all of them and the co-run's rounds stay aligned.
-	var plan sampling.Plan
+	// plan drives all of them and the co-run's rounds stay aligned. Without
+	// sampling it is the one-window full plan: one detailed round.
+	plan := c.samplePlan(workloads[0].keys)
 	soloWins := make([][]windowSample, k)
 	coWins := make([][]windowSample, k)
-	if c.sampling() {
-		plan = c.samplePlan(workloads[0].keys)
-	}
 
 	// Solo reference runs: each agent alone on a fresh, uncontended
 	// hierarchy with its own partition warmed and the same private spec
@@ -679,34 +675,16 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 		if err := c.warmCMPSolo(hier, workloadKey, &workloads[i], i); err != nil {
 			return nil, err
 		}
+		cycles, memStats, wins, err := c.runCMPSolo(hier, spec, as, &workloads[i], plan)
+		if err != nil {
+			return nil, err
+		}
+		soloWins[i] = wins
 		a := &exp.Agents[i]
 		a.Name = workloads[i].name
 		a.Spec = spec
-		a.Tuples = uint64(workloads[i].keys)
-		var cycles uint64
-		var memStats mem.Stats
-		if c.sampling() {
-			var wins []windowSample
-			cycles, memStats, wins, err = c.runCMPSoloSampled(hier, spec, as, &workloads[i], plan)
-			if err != nil {
-				return nil, err
-			}
-			soloWins[i] = wins
-			// Per-tuple figures cover the measured probes only.
-			a.Tuples = plan.MeasuredProbes()
-		} else {
-			run, err := newCMPRunner(hier, spec, as, &workloads[i], c.queueDepth(), 0)
-			if err != nil {
-				return nil, err
-			}
-			if err := system.Run(run.agent); err != nil {
-				return nil, err
-			}
-			cycles, memStats, err = run.finish()
-			if err != nil {
-				return nil, err
-			}
-		}
+		// Per-tuple figures cover the measured probes only.
+		a.Tuples = plan.MeasuredProbes()
 		a.SoloCycles = cycles
 		a.SoloCyclesPerTuple = float64(cycles) / float64(a.Tuples)
 		a.SoloMemStats = memStats
@@ -721,8 +699,6 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	// the partitions warmed first), merged by the system scheduler's event
 	// heap in globally monotonic cycle order.
 	sl := c.newSharedLevel()
-	runs := make([]*cmpRunner, k)
-	agents := make([]system.Agent, k)
 	hiers := make([]*mem.Hierarchy, k)
 	for i := range specs {
 		hiers[i] = sl.NewAgent(c.cmpAgentSpec(sl.Topology(), workloads[i].name, specs[i]))
@@ -730,82 +706,86 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	if err := c.warmCMPCoRun(sl, hiers, workloadKey, workloads, interleavedWarm); err != nil {
 		return nil, err
 	}
-	if c.sampling() {
-		// Sampled co-run: the plan advances in lockstep rounds. A
-		// fast-forward round warms every agent's trace span functionally; a
-		// detailed round schedules all agents together (re-staggered by
-		// arrival) from the cycle the previous round ended, and measured
-		// rounds contribute one window observation per agent.
-		streams := make([][]uint64, k)
-		var cursor uint64
-		detailed := func(sp sampling.Span) error {
-			spanRuns := make([]*cmpRunner, k)
-			spanAgents := make([]system.Agent, k)
-			for i, spec := range specs {
-				r, err := newCMPRunner(hiers[i], spec, as, workloads[i].span(sp), c.queueDepth(), cursor+uint64(i)*c.Stagger)
-				if err != nil {
-					return err
-				}
-				spanRuns[i], spanAgents[i] = r, r.agent
-			}
-			if err := system.Run(spanAgents...); err != nil {
+	// The plan advances in lockstep rounds. A fast-forward round warms
+	// every agent's trace span functionally; a detailed round schedules all
+	// agents together (re-staggered by arrival) from the cycle the previous
+	// round ended, and measured rounds contribute one window observation
+	// per agent. The system drains when the last agent of a round finishes;
+	// under a staggered arrival an agent's span is offset by its start
+	// cycle.
+	streams := make([]*matchStream, k)
+	for i := range workloads {
+		streams[i] = workloads[i].output()
+	}
+	var cursor uint64
+	detailed := func(sp sampling.Span) error {
+		runs := make([]*cmpRunner, k)
+		agents := make([]system.Agent, k)
+		for i, spec := range specs {
+			r, err := newCMPRunner(hiers[i], spec, as, workloads[i].span(sp), c.queueDepth(), cursor+uint64(i)*c.Stagger)
+			if err != nil {
 				return err
 			}
-			var roundMax uint64
-			for i, r := range spanRuns {
-				cyc, st, err := r.finish()
-				if err != nil {
-					return err
-				}
-				if r.matches != nil {
-					streams[i] = append(streams[i], r.matches()...)
-				}
-				if end := uint64(i)*c.Stagger + cyc; end > roundMax {
-					roundMax = end
-				}
-				if sp.Kind == sampling.Measure {
-					a := &exp.Agents[i]
-					a.Cycles += cyc
-					a.MemStats = a.MemStats.Add(st)
-					coWins[i] = append(coWins[i], windowSample{cycles: cyc, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
-				}
+			runs[i], agents[i] = r, r.agent
+		}
+		if err := system.Run(agents...); err != nil {
+			return err
+		}
+		var roundMax uint64
+		for i, r := range runs {
+			cyc, st, err := r.finish()
+			if err != nil {
+				return err
 			}
-			cursor += roundMax
-			return nil
-		}
-		ff := func(sp sampling.Span) error {
-			for i := range workloads {
-				if workloads[i].progs != nil {
-					streams[i] = append(streams[i], matchSegment(workloads[i].matches, workloads[i].bounds, sp.Start, sp.End)...)
-				}
-				ffWarm(hiers[i], workloads[i].traces[sp.Start:sp.End])
+			if r.matches != nil {
+				streams[i].detailed(r.matches())
 			}
-			return nil
+			if end := uint64(i)*c.Stagger + cyc; end > roundMax {
+				roundMax = end
+			}
+			if sp.Kind == sampling.Measure {
+				a := &exp.Agents[i]
+				a.Cycles += cyc
+				a.MemStats = a.MemStats.Add(st)
+				coWins[i] = append(coWins[i], windowSample{cycles: cyc, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
+			}
 		}
-		if c.SampleFullDetail {
-			ff = detailed
+		cursor += roundMax
+		return nil
+	}
+	ff := func(sp sampling.Span) error {
+		for i := range workloads {
+			if streams[i].ref != nil {
+				streams[i].fastForward(sp)
+			}
+			ffWarm(hiers[i], workloads[i].traces[sp.Start:sp.End])
 		}
-		if err := plan.Run(ff, detailed); err != nil {
+		return nil
+	}
+	if c.SampleFullDetail {
+		ff = detailed
+	}
+	if err := plan.Run(ff, detailed); err != nil {
+		return nil, err
+	}
+	for i := range workloads {
+		if err := streams[i].verify(workloads[i].name); err != nil {
 			return nil, err
 		}
-		for i := range workloads {
-			if workloads[i].progs == nil {
-				continue
-			}
-			if err := verifySampledStream(workloads[i].name, streams[i], workloads[i].matches); err != nil {
-				return nil, err
-			}
-		}
-		exp.SystemCycles = cursor
-		var coMisses, soloMisses uint64
-		rep := sampling.NewReport(plan)
-		for i := range exp.Agents {
-			a := &exp.Agents[i]
-			a.CyclesPerTuple = float64(a.Cycles) / float64(a.Tuples)
-			a.Slowdown = ratio(float64(a.Cycles), float64(a.SoloCycles))
-			a.LLCMissInflation = ratio(float64(a.MemStats.LLCMisses), float64(a.SoloMemStats.LLCMisses))
-			coMisses += a.MemStats.LLCMisses
-			soloMisses += a.SoloMemStats.LLCMisses
+	}
+	exp.SystemCycles = cursor
+	var coMisses, soloMisses uint64
+	for i := range exp.Agents {
+		a := &exp.Agents[i]
+		a.CyclesPerTuple = float64(a.Cycles) / float64(a.Tuples)
+		a.Slowdown = ratio(float64(a.Cycles), float64(a.SoloCycles))
+		a.LLCMissInflation = ratio(float64(a.MemStats.LLCMisses), float64(a.SoloMemStats.LLCMisses))
+		coMisses += a.MemStats.LLCMisses
+		soloMisses += a.SoloMemStats.LLCMisses
+	}
+	exp.LLCMissInflation = ratio(float64(coMisses), float64(soloMisses))
+	if rep := c.sampleReport(plan); rep != nil {
+		for i, a := range exp.Agents {
 			if workloads[i].progs != nil {
 				rep.FingerprintVerified = true
 			}
@@ -815,41 +795,7 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 			// windows.
 			rep.Add(a.Name+" slowdown", speedupSeries(coWins[i], soloWins[i]))
 		}
-		exp.LLCMissInflation = ratio(float64(coMisses), float64(soloMisses))
 		exp.Sampling = rep
-	} else {
-		for i, spec := range specs {
-			runs[i], err = newCMPRunner(hiers[i], spec, as, &workloads[i], c.queueDepth(), uint64(i)*c.Stagger)
-			if err != nil {
-				return nil, err
-			}
-			agents[i] = runs[i].agent
-		}
-		if err := system.Run(agents...); err != nil {
-			return nil, err
-		}
-
-		var coMisses, soloMisses uint64
-		for i, run := range runs {
-			cycles, stats, err := run.finish()
-			if err != nil {
-				return nil, err
-			}
-			a := &exp.Agents[i]
-			a.Cycles = cycles
-			a.CyclesPerTuple = float64(cycles) / float64(a.Tuples)
-			a.MemStats = stats
-			a.Slowdown = ratio(float64(cycles), float64(a.SoloCycles))
-			a.LLCMissInflation = ratio(float64(stats.LLCMisses), float64(a.SoloMemStats.LLCMisses))
-			coMisses += stats.LLCMisses
-			soloMisses += a.SoloMemStats.LLCMisses
-			// The system drains when the last agent finishes; under a
-			// staggered arrival an agent's span is offset by its start cycle.
-			if end := uint64(i)*c.Stagger + cycles; end > exp.SystemCycles {
-				exp.SystemCycles = end
-			}
-		}
-		exp.LLCMissInflation = ratio(float64(coMisses), float64(soloMisses))
 	}
 	exp.SharedStats = sl.Stats()
 	exp.MSHRSaturationShare = exp.SharedStats.MSHRSaturationShare(c.fillBuffers())

@@ -58,14 +58,7 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: query %s %s: %w", q.Suite, q.Name, err)
 	}
-	ph := &indexPhase{
-		as:           engRes.AS,
-		index:        engRes.Index,
-		probeKeyBase: engRes.ProbeKeyBase,
-		probeCount:   engRes.ProbeCount,
-		traces:       engRes.Traces,
-		warmKey:      engKey,
-	}
+	ph := enginePhase(engRes, engKey)
 
 	res := &QueryResult{
 		Query:              q,
@@ -87,7 +80,7 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	res.OoOCyclesPerTuple = baseRes[0].CyclesPerTuple()
 	res.InOrderCyclesPerTuple = baseRes[1].CyclesPerTuple()
 	if ps != nil {
-		rep := ps.report()
+		rep := ps.report
 		rep.Add(sampledMetricName("ooo", metricCPT), cptSeries(ps.baseWins[0]))
 		rep.Add(sampledMetricName("inorder", metricCPT), cptSeries(ps.baseWins[1]))
 		for i, w := range c.Walkers {
@@ -325,14 +318,7 @@ func (c Config) RunHashingAblation(q workloads.QuerySpec, walkers int) (*Ablatio
 	if err != nil {
 		return nil, err
 	}
-	ph := &indexPhase{
-		as:           engRes.AS,
-		index:        engRes.Index,
-		probeKeyBase: engRes.ProbeKeyBase,
-		probeCount:   engRes.ProbeCount,
-		traces:       engRes.Traces,
-		warmKey:      engKey,
-	}
+	ph := enginePhase(engRes, engKey)
 	out := &AblationResult{Query: fmt.Sprintf("%s %s", q.Suite, q.Name), Walkers: walkers}
 	// Fixed design-point order: the previous map iteration randomized the
 	// result-region allocation order (and with it buffer addresses) from run

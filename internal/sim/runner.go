@@ -125,19 +125,24 @@ type widxPoint struct {
 }
 
 // runPhase executes one indexing phase on every requested design point: the
-// given baseline cores plus Widx at every point. Result-region allocations
-// for all Widx points are performed up front, in point order, on the phase's
-// own address space (the order a sequential runner would produce); each Widx
-// task then runs on a private clone when fanning out. Returned slices are
-// parallel to the input slices. With sampling enabled every design point
-// executes the same sampling.Plan through the sampled runners and the
-// per-window observations come back in phaseSampling (nil when sampling is
-// off); plan placement is a pure function of the stream, so parallel
-// sampled runs stay bit-identical to sequential ones.
+// given baseline cores plus Widx at every point. It is the one place the
+// parallel-determinism rules above are applied: result regions for all
+// Widx points are allocated up front, in point order, on the phase's own
+// address space (the order a sequential runner would produce); then every
+// clone is taken; then the design points fan out, each Widx task on a
+// private clone when running in parallel. Returned slices are parallel to
+// the input slices.
+//
+// Every design point executes the same plan (samplePlan) through its
+// agent kind's plan runner: with sampling off that is the one-window full
+// plan, so a full-detail run is the degenerate sampled run. The
+// per-window observations come back in phaseSampling, which is nil when
+// sampling is off. Plan placement is a pure function of the stream, so
+// parallel runs stay bit-identical to sequential ones.
 func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widxPoint) ([]cores.Result, []*widx.OffloadResult, *phaseSampling, error) {
 	resultBases := make([]uint64, len(points))
 	for i, p := range points {
-		resultBases[i] = ph.allocResultRegion(p.walkers, p.mode)
+		resultBases[i] = ph.as.AllocAligned(ph.resultName(p), ph.resultBytes)
 	}
 	// Private memory images for parallel Widx tasks: the producer's result
 	// stores must not touch the address space other tasks are reading. The
@@ -151,70 +156,46 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 			spaces[i] = ph.as.Clone()
 		}
 	}
+
+	// The plan covers exactly the sampled probe prefix. Fast-forward spans
+	// emit the software reference's matches, so a plan that has them needs
+	// the reference stream; it is computed once and shared by every Widx
+	// point's fast-forward output and fingerprint check.
+	n := c.sampleCount(ph.probeCount)
+	plan := c.samplePlan(n)
+	if ph.ref == nil && plan.Sampled() {
+		ph.ref = refStream(ph.index, ph.traces[:n])
+	}
 	baseRes := make([]cores.Result, len(baselines))
 	widxRes := make([]*widx.OffloadResult, len(points))
-
-	if !c.sampling() {
-		err := c.RunTasks(len(baselines)+len(points), func(i int) error {
-			if i < len(baselines) {
-				r, err := c.runBaseline(ph, baselines[i])
-				if err != nil {
-					return err
-				}
-				baseRes[i] = r
-				return nil
-			}
-			j := i - len(baselines)
-			r, err := c.runWidx(ph, spaces[j], resultBases[j], points[j].walkers, points[j].mode)
-			if err != nil {
-				return err
-			}
-			widxRes[j] = r
-			return nil
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return baseRes, widxRes, nil, nil
-	}
-
-	// Sampled execution: truncate the trace stream to the sample cap (the
-	// plan covers exactly the probes the full runners would simulate), place
-	// the plan, and compute the software-reference match stream once — it
-	// feeds every Widx point's fast-forward output and fingerprint check.
-	n := c.sampleCount(ph.probeCount)
-	ph.traces = ph.traces[:n]
-	plan := c.samplePlan(n)
-	refMatches, bounds := refStream(ph.index, ph.traces)
-	ps := &phaseSampling{
-		plan:     plan,
-		baseWins: make([][]windowSample, len(baselines)),
-		widxWins: make([][]windowSample, len(points)),
-	}
+	baseWins := make([][]windowSample, len(baselines))
+	widxWins := make([][]windowSample, len(points))
 	err := c.RunTasks(len(baselines)+len(points), func(i int) error {
 		if i < len(baselines) {
-			r, wins, err := c.runBaselineSampled(ph, baselines[i], plan)
+			r, wins, err := c.runCore(ph, baselines[i], plan)
 			if err != nil {
 				return err
 			}
-			baseRes[i] = r
-			ps.baseWins[i] = wins
+			baseRes[i], baseWins[i] = r, wins
 			return nil
 		}
 		j := i - len(baselines)
-		r, wins, err := c.runWidxSampled(ph, spaces[j], resultBases[j], points[j].walkers, points[j].mode, plan, refMatches, bounds)
+		r, wins, err := c.runWidxPoint(ph, spaces[j], resultBases[j], points[j], plan)
 		if err != nil {
 			return err
 		}
-		widxRes[j] = r
-		ps.widxWins[j] = wins
+		widxRes[j], widxWins[j] = r, wins
 		return nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ps.verified = len(points) > 0
-	return baseRes, widxRes, ps, nil
+	rep := c.sampleReport(plan)
+	if rep == nil {
+		return baseRes, widxRes, nil, nil
+	}
+	rep.FingerprintVerified = len(points) > 0
+	return baseRes, widxRes, &phaseSampling{report: rep, baseWins: baseWins, widxWins: widxWins}, nil
 }
 
 // walkerPoints returns the configured walker sweep as phase design points.

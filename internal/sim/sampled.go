@@ -1,24 +1,28 @@
-// Sampled execution: the SMARTS-style detailed-window runners. When
-// Config.SampleWindows is set, every design point executes its probe
-// stream through a sampling.Plan instead of end to end: fast-forward spans
-// perform only functional state updates — the software reference's matches
-// join the output stream and the addresses its traversal touches warm the
-// cache tags and TLB pages (mem.WarmBlock), with no cycle accounting —
-// while detailed spans run on the live machine exactly as a full run
-// would, resuming at the cycle the previous span ended. Measured spans
-// contribute one observation per window to the confidence estimator
+// The plan runners: every design point executes its probe stream through a
+// sampling.Plan, one runner per agent kind (runCore for baseline cores,
+// runWidxPoint for Widx, runCMPSolo and the lockstep co-run loop in cmp.go).
+// A full-detail run is the degenerate plan sampling.Full builds — one
+// measured span over the whole stream — so it takes the same path as a
+// SMARTS-style sampled run. When Config.SampleWindows is set, the plan
+// instead interleaves detailed windows with fast-forward spans, which
+// perform only functional state updates — the software reference's
+// matches join the output stream and the addresses its traversal touches
+// warm the cache tags and TLB pages (mem.WarmBlock), with no cycle
+// accounting — while detailed spans run on the live machine exactly as a
+// full run would, resuming at the cycle the previous span ended. Measured
+// spans contribute one observation per window to the confidence estimator
 // (internal/sampling/stats); warmup spans re-establish the
 // microarchitectural state functional warming cannot reproduce (MSHR
 // occupancy, queue fill, LRU recency) and are excluded from measurement.
 //
 // Correctness contract: the functional output is bit-identical to the
-// unsampled run. Every design point with a match stream concatenates the
+// full-detail run. Every design point with a match stream concatenates the
 // reference matches of its fast-forward spans with the simulated matches
 // of its detailed spans, in probe order, and the fingerprint of that
 // stream must equal the full software reference's — a mismatch is a hard
-// run error, the same contract RunZoo enforces. Window placement is a pure
-// function of (stream length, knobs), so sampled results are
-// byte-identical at every parallelism level.
+// run error. Window placement is a pure function of (stream length,
+// knobs), so sampled results are byte-identical at every parallelism
+// level.
 package sim
 
 import (
@@ -27,7 +31,6 @@ import (
 	"widx/internal/cores"
 	"widx/internal/hashidx"
 	"widx/internal/mem"
-	"widx/internal/program"
 	"widx/internal/sampling"
 	"widx/internal/structures"
 	"widx/internal/vm"
@@ -135,36 +138,71 @@ func (c Config) ffSpan(hier *mem.Hierarchy, phaseKey string, traces []hashidx.Pr
 	return nil
 }
 
-// refStream computes the software-reference match stream of the phase's
-// probes, with per-probe bounds: probe i's matches occupy
-// matches[bounds[i-1]:bounds[i]] (bounds[-1] is implicitly 0).
-func refStream(index *hashidx.Table, traces []hashidx.ProbeTrace) (matches []uint64, bounds []int) {
-	bounds = make([]int, len(traces))
-	for i := range traces {
-		matches = append(matches, index.ProbeMatches(traces[i].Key)...)
-		bounds[i] = len(matches)
-	}
-	return matches, bounds
+// matchRef is a software reference's match stream with per-probe bounds:
+// probe i's matches occupy matches[bounds[i-1]:bounds[i]] (bounds[-1] is
+// implicitly 0).
+type matchRef struct {
+	matches []uint64
+	bounds  []int
 }
 
-// matchSegment slices the reference stream to the matches of probes
-// [lo, hi).
-func matchSegment(matches []uint64, bounds []int, lo, hi uint64) []uint64 {
+// refStream computes the software-reference match stream of the given
+// probes.
+func refStream(index *hashidx.Table, traces []hashidx.ProbeTrace) *matchRef {
+	r := &matchRef{bounds: make([]int, len(traces))}
+	for i := range traces {
+		r.matches = append(r.matches, index.ProbeMatches(traces[i].Key)...)
+		r.bounds[i] = len(r.matches)
+	}
+	return r
+}
+
+// segment slices the reference stream to the matches of probes [lo, hi).
+func (r *matchRef) segment(lo, hi uint64) []uint64 {
 	start := 0
 	if lo > 0 {
-		start = bounds[lo-1]
+		start = r.bounds[lo-1]
 	}
-	return matches[start:bounds[hi-1]]
+	return r.matches[start:r.bounds[hi-1]]
 }
 
-// verifySampledStream enforces the bit-identical-output contract: the
-// concatenated fast-forward reference + detailed simulated match stream
-// must fingerprint-match the full software reference.
-func verifySampledStream(what string, stream, ref []uint64) error {
-	refFP := structures.Fingerprint(ref)
-	if got := structures.Fingerprint(stream); got != refFP {
-		return fmt.Errorf("sim: sampled %s output diverged from the software reference (%d matches fp %#x, want %d fp %#x)",
-			what, len(stream), got, len(ref), refFP)
+// matchStream assembles one design point's functional output in probe
+// order: the reference matches of fast-forward spans and the simulated
+// matches of detailed spans. The output of a single detailed span — a
+// full-detail run — is that span's own slice, not a copy.
+type matchStream struct {
+	ref *matchRef
+	out []uint64
+}
+
+// fastForward appends the reference matches of the span's probes.
+func (s *matchStream) fastForward(sp sampling.Span) {
+	if s.out == nil {
+		s.out = make([]uint64, 0, len(s.ref.matches))
+	}
+	s.out = append(s.out, s.ref.segment(sp.Start, sp.End)...)
+}
+
+// detailed appends a detailed span's simulated matches.
+func (s *matchStream) detailed(matches []uint64) {
+	if s.out == nil {
+		s.out = matches
+		return
+	}
+	s.out = append(s.out, matches...)
+}
+
+// verify enforces the bit-identical-output contract: the assembled stream
+// must fingerprint-match the full software reference. A stream without a
+// reference (a hash-join phase run in full detail) has nothing to check.
+func (s *matchStream) verify(what string) error {
+	if s.ref == nil {
+		return nil
+	}
+	refFP := structures.Fingerprint(s.ref.matches)
+	if got := structures.Fingerprint(s.out); got != refFP {
+		return fmt.Errorf("sim: %s output diverged from the software reference (%d matches fp %#x, want %d fp %#x)",
+			what, len(s.out), got, len(s.ref.matches), refFP)
 	}
 	return nil
 }
@@ -196,13 +234,13 @@ func addOffloadResult(agg *widx.OffloadResult, r *widx.OffloadResult) {
 	agg.MemStats = agg.MemStats.Add(r.MemStats)
 }
 
-// runBaselineSampled replays the phase's traces on a baseline core through
-// the plan: fast-forward spans warm functionally, detailed spans run on the
-// live core resuming at the cycle the previous span ended. The returned
-// result aggregates the measured spans only (its CyclesPerTuple is the
+// runCore replays the phase's traces on a baseline core through the plan:
+// fast-forward spans warm functionally, detailed spans run on the live core
+// resuming at the cycle the previous span ended. The returned result
+// aggregates the measured spans only (its CyclesPerTuple is the
 // measured-probe-weighted window mean), alongside the per-window
-// observations.
-func (c Config) runBaselineSampled(ph *indexPhase, coreCfg cores.Config, plan sampling.Plan) (cores.Result, []windowSample, error) {
+// observations. Under the full plan the aggregate is the whole run.
+func (c Config) runCore(ph *indexPhase, coreCfg cores.Config, plan sampling.Plan) (cores.Result, []windowSample, error) {
 	sl := c.newSharedLevel()
 	hier := sl.NewAgent(sl.Topology().Agent("host"))
 	core, err := cores.New(coreCfg, hier)
@@ -239,26 +277,25 @@ func (c Config) runBaselineSampled(ph *indexPhase, coreCfg cores.Config, plan sa
 	return agg, wins, nil
 }
 
-// runWidxSampled executes the phase's probes on a Widx design point through
+// runWidxPoint executes the phase's probes on one Widx design point through
 // the plan. Fast-forward spans append the reference matches of their probes
 // to the output stream and warm the hierarchy; detailed spans offload the
-// span's key range at the current cursor. The combined stream is verified
-// against the full reference before the result is returned.
-func (c Config) runWidxSampled(ph *indexPhase, as *vm.AddressSpace, resultBase uint64, walkers int, mode widx.HashingMode,
-	plan sampling.Plan, refMatches []uint64, bounds []int) (*widx.OffloadResult, []windowSample, error) {
+// span's key range at the current cursor. When the phase has a reference
+// the combined stream is verified against it before the result is returned.
+func (c Config) runWidxPoint(ph *indexPhase, as *vm.AddressSpace, resultBase uint64, p widxPoint, plan sampling.Plan) (*widx.OffloadResult, []windowSample, error) {
+	progs, err := ph.programs(resultBase)
+	if err != nil {
+		return nil, nil, err
+	}
 	sl := c.newSharedLevel()
 	hier := sl.NewAgent(c.widxSpec(sl.Topology(), "widx"))
-	bundle, err := program.ForTable(ph.index, resultBase)
+	acc, err := widx.New(widx.Config{NumWalkers: p.walkers, QueueDepth: c.queueDepth(), Mode: p.mode},
+		hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
 	if err != nil {
 		return nil, nil, err
 	}
-	acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: mode},
-		hier, as, bundle.Dispatcher, bundle.Walker, bundle.Producer)
-	if err != nil {
-		return nil, nil, err
-	}
-	agg := &widx.OffloadResult{Walkers: make([]widx.Breakdown, walkers)}
-	stream := make([]uint64, 0, len(refMatches))
+	agg := &widx.OffloadResult{Walkers: make([]widx.Breakdown, p.walkers)}
+	stream := matchStream{ref: ph.ref}
 	wins := make([]windowSample, 0, plan.Windows)
 	var cursor uint64
 	detailed := func(sp sampling.Span) error {
@@ -271,7 +308,7 @@ func (c Config) runWidxSampled(ph *indexPhase, as *vm.AddressSpace, resultBase u
 			return err
 		}
 		cursor += res.TotalCycles
-		stream = append(stream, res.Matches...)
+		stream.detailed(res.Matches)
 		if sp.Kind != sampling.Measure {
 			return nil
 		}
@@ -280,7 +317,7 @@ func (c Config) runWidxSampled(ph *indexPhase, as *vm.AddressSpace, resultBase u
 		return nil
 	}
 	ff := func(sp sampling.Span) error {
-		stream = append(stream, matchSegment(refMatches, bounds, sp.Start, sp.End)...)
+		stream.fastForward(sp)
 		return c.ffSpan(hier, ph.warmKey, ph.traces, sp)
 	}
 	if c.SampleFullDetail {
@@ -289,30 +326,20 @@ func (c Config) runWidxSampled(ph *indexPhase, as *vm.AddressSpace, resultBase u
 	if err := plan.Run(ff, detailed); err != nil {
 		return nil, nil, err
 	}
-	if err := verifySampledStream("widx", stream, refMatches); err != nil {
+	if err := stream.verify(ph.what); err != nil {
 		return nil, nil, err
 	}
-	agg.Matches = stream
+	agg.Matches = stream.out
 	return agg, wins, nil
 }
 
 // phaseSampling carries one phase's sampled execution record back to the
-// experiment layer: the executed plan and each design point's window
-// observations, parallel to runPhase's result slices.
+// experiment layer: the report seeded from the executed plan and each
+// design point's window observations, parallel to runPhase's result slices.
 type phaseSampling struct {
-	plan     sampling.Plan
+	report   *sampling.Report
 	baseWins [][]windowSample
 	widxWins [][]windowSample
-	// verified reports that at least one Widx point's match stream was
-	// fingerprint-checked against the reference (mismatches abort the run).
-	verified bool
-}
-
-// report seeds a sampling.Report from the phase's plan.
-func (ps *phaseSampling) report() *sampling.Report {
-	r := sampling.NewReport(ps.plan)
-	r.FingerprintVerified = ps.verified
-	return r
 }
 
 // addSampledPoint records one Widx design point's three headline metric

@@ -130,25 +130,56 @@ func TestSampledDeterministicAcrossParallelism(t *testing.T) {
 
 // TestUnsampledManifestUnchanged locks the compatibility guarantee: with
 // SampleWindows off, results must not mention sampling at all, so manifests
-// from pre-sampling builds stay byte-identical.
+// from pre-sampling builds stay byte-identical. Full-detail runs execute
+// the one-window plan through the same runners as sampled ones, so every
+// experiment family is checked for a leaked sampling block or window data.
 func TestUnsampledManifestUnchanged(t *testing.T) {
 	c := warmTestConfig()
-	exp, err := c.RunKernel([]join.SizeClass{join.Small})
+	specs, err := ParseAgents("widx:2w+ooo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exp.Sampling != nil {
-		t.Error("unsampled kernel run carries a sampling report")
+	zooOpt := ZooOptions{Structures: []structures.Kind{structures.HashJoin, structures.BTree}}
+	runs := []struct {
+		name string
+		run  func() (SamplingReporter, error)
+	}{
+		{"kernel", func() (SamplingReporter, error) { return c.RunKernel([]join.SizeClass{join.Small}) }},
+		{"query", func() (SamplingReporter, error) { return c.RunQuery(workloads.SimulatedQueries()[0]) }},
+		{"zoo", func() (SamplingReporter, error) { return c.RunZoo(zooOpt) }},
+		{"cmp", func() (SamplingReporter, error) { return c.RunCMP(join.Small, specs) }},
+		{"walkerutil", func() (SamplingReporter, error) { return c.RunWalkerUtilization(join.Small, 2) }},
 	}
-	if js := resultJSON(t, exp); strings.Contains(js, "sampling") {
-		t.Errorf("unsampled kernel JSON mentions sampling: %s", js)
-	}
-	qr, err := c.RunQuery(workloads.SimulatedQueries()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qr.Sampling != nil || strings.Contains(resultJSON(t, qr), "sampling") {
-		t.Error("unsampled query run mentions sampling")
+	for _, r := range runs {
+		res, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if res.SamplingReport() != nil {
+			t.Errorf("unsampled %s run carries a sampling report", r.name)
+		}
+		js := resultJSON(t, res)
+		for _, leak := range []string{"sampling", "windows"} {
+			if strings.Contains(js, leak) {
+				t.Errorf("unsampled %s JSON mentions %q: %s", r.name, leak, js)
+			}
+		}
+		// The one measured span is the whole stream: every probe counts.
+		want := uint64(c.sampleCount(4 * join.Small.Tuples(c.Scale)))
+		switch e := res.(type) {
+		case *KernelExperiment:
+			for _, p := range e.Points {
+				if p.Raw.Tuples != want {
+					t.Errorf("unsampled kernel %dw measured %d of %d probes", p.Walkers, p.Raw.Tuples, want)
+				}
+			}
+		case *CMPExperiment:
+			for _, a := range e.Agents {
+				if a.Tuples != want {
+					t.Errorf("unsampled cmp agent %s measured %d of %d probes", a.Name, a.Tuples, want)
+				}
+			}
+		}
 	}
 }
 

@@ -24,11 +24,11 @@ import (
 	"fmt"
 	"runtime"
 
-	"widx/internal/cores"
 	"widx/internal/hashidx"
 	"widx/internal/mem"
 	"widx/internal/program"
 	"widx/internal/sampling"
+	"widx/internal/structures"
 	"widx/internal/vm"
 	"widx/internal/warmstate"
 	"widx/internal/widx"
@@ -253,16 +253,27 @@ func (c Config) sampleCount(n int) int {
 // sampling reports whether systematic sampled simulation is on.
 func (c Config) sampling() bool { return c.SampleWindows > 0 }
 
-// samplePlan builds the sampling plan for a probe stream of length n: the
-// configured systematic plan when sampling is on, the full single-window
-// plan otherwise. Window placement is a pure function of (n, knobs), so
-// every design point of a run — and every parallelism level — executes the
-// same spans.
+// samplePlan builds the plan every design point executes a probe stream of
+// length n through: the configured systematic plan when sampling is on,
+// the full single-window plan — full-detail simulation — otherwise. Window
+// placement is a pure function of (n, knobs), so every design point of a
+// run — and every parallelism level — executes the same spans.
 func (c Config) samplePlan(n int) sampling.Plan {
 	if !c.sampling() {
 		return sampling.Full(uint64(n))
 	}
 	return sampling.NewPlan(uint64(n), c.SampleWindows, c.SampleWarmup, c.SamplePeriod)
+}
+
+// sampleReport seeds the sampling block of a run that executed plan, or
+// returns nil when sampling is off: full-detail results come out of the
+// same runners but carry no sampling block, so their manifests stay
+// byte-identical to pre-sampling ones.
+func (c Config) sampleReport(plan sampling.Plan) *sampling.Report {
+	if !c.sampling() {
+		return nil
+	}
+	return sampling.NewReport(plan)
 }
 
 // Breakdown is a per-tuple cycle breakdown in the categories of Figures 8a
@@ -293,11 +304,11 @@ func scaleBreakdown(total widx.Breakdown, walkers int, tuples uint64) Breakdown 
 }
 
 // indexPhase bundles everything needed to run one indexing phase on all
-// design points: the data in its address space, the built index, the probe
-// key column and the probe traces.
+// design points: the data in its address space, the probe key column and
+// the probe traces, how its Widx points get their programs and result
+// regions, and the software reference's match stream.
 type indexPhase struct {
 	as           *vm.AddressSpace
-	index        *hashidx.Table
 	probeKeyBase uint64
 	probeCount   int
 	traces       []hashidx.ProbeTrace
@@ -305,46 +316,49 @@ type indexPhase struct {
 	// the workload artifact's content-addressed key, which sampled runs
 	// chain their fast-forward checkpoint keys on (sampled.go).
 	warmKey string
+	// what names the phase's Widx output in verification errors.
+	what string
+	// programs generates a Widx point's program bundle, storing matches
+	// into the result region at resultBase.
+	programs func(resultBase uint64) (*structures.Programs, error)
+	// resultName and resultBytes lay out one Widx point's result region.
+	resultName  func(p widxPoint) string
+	resultBytes uint64
+	// ref is the software reference every Widx point's output is verified
+	// against. Structure phases carry it from their build; hash-join phases
+	// leave it nil and runPhase derives it from index when the plan
+	// fast-forwards.
+	ref   *matchRef
+	index *hashidx.Table
 }
 
-// allocResultRegion reserves the result buffer for one Widx design point on
-// the phase's address space. The runner performs these allocations for every
-// design point before fanning out, in sequential order, so buffer addresses —
-// and with them cache and TLB behaviour — do not depend on the parallelism.
-func (ph *indexPhase) allocResultRegion(walkers int, mode widx.HashingMode) uint64 {
-	return ph.as.AllocAligned(fmt.Sprintf("results.w%d.m%d", walkers, mode), uint64(ph.probeCount)*8+64)
-}
-
-// runBaseline executes the phase's probes on a baseline core with a fresh
-// hierarchy and returns the result.
-func (c Config) runBaseline(ph *indexPhase, coreCfg cores.Config) (cores.Result, error) {
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(sl.Topology().Agent("host"))
-	core, err := cores.New(coreCfg, hier)
-	if err != nil {
-		return cores.Result{}, err
+// hashJoinPhase builds the phase of a hash-join index: Widx points run the
+// generated program bundle for the table, one result region per point.
+func hashJoinPhase(as *vm.AddressSpace, index *hashidx.Table, probeKeyBase uint64, probeCount int, traces []hashidx.ProbeTrace, warmKey string) *indexPhase {
+	return &indexPhase{
+		as:           as,
+		probeKeyBase: probeKeyBase,
+		probeCount:   probeCount,
+		traces:       traces,
+		warmKey:      warmKey,
+		what:         "widx",
+		programs: func(resultBase uint64) (*structures.Programs, error) {
+			return hashJoinPrograms(index, resultBase)
+		},
+		resultName: func(p widxPoint) string {
+			return fmt.Sprintf("results.w%d.m%d", p.walkers, p.mode)
+		},
+		resultBytes: uint64(probeCount)*8 + 64,
+		index:       index,
 	}
-	n := c.sampleCount(len(ph.traces))
-	return core.RunProbes(ph.traces[:n], 0)
 }
 
-// runWidx executes the phase's probes on a Widx configuration with a fresh
-// hierarchy and returns the offload result. The address space may be the
-// phase's own (sequential runs) or a private clone (parallel runs); the
-// result region at resultBase must already be allocated on the phase's
-// address space via allocResultRegion.
-func (c Config) runWidx(ph *indexPhase, as *vm.AddressSpace, resultBase uint64, walkers int, mode widx.HashingMode) (*widx.OffloadResult, error) {
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(c.widxSpec(sl.Topology(), "widx"))
-	bundle, err := program.ForTable(ph.index, resultBase)
+// hashJoinPrograms generates the Widx program bundle for a built hash
+// index storing into the result region at resultBase.
+func hashJoinPrograms(index *hashidx.Table, resultBase uint64) (*structures.Programs, error) {
+	bundle, err := program.ForTable(index, resultBase)
 	if err != nil {
 		return nil, err
 	}
-	acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: mode},
-		hier, as, bundle.Dispatcher, bundle.Walker, bundle.Producer)
-	if err != nil {
-		return nil, err
-	}
-	n := uint64(c.sampleCount(ph.probeCount))
-	return acc.Offload(widx.OffloadRequest{KeyBase: ph.probeKeyBase, KeyCount: n})
+	return &structures.Programs{Dispatcher: bundle.Dispatcher, Walker: bundle.Walker, Producer: bundle.Producer}, nil
 }

@@ -103,24 +103,12 @@ type kernelArtifact struct {
 	traces []hashidx.ProbeTrace
 }
 
-// phase hands out one consumer's view of the artifact: an indexPhase on a
-// private copy-on-write clone of the master image. The clone is taken
-// under mu because vm.AddressSpace.Clone mutates the parent's sharing
-// bookkeeping.
-func (a *kernelArtifact) phase(withTraces bool) *indexPhase {
-	a.mu.Lock()
-	as := a.kernel.AS.Clone()
-	a.mu.Unlock()
-	ph := &indexPhase{
-		as:           as,
-		index:        a.kernel.Index,
-		probeKeyBase: a.kernel.ProbeKeyBase,
-		probeCount:   len(a.kernel.ProbeKeys),
-	}
-	if withTraces {
-		ph.traces = a.traces
-	}
-	return ph
+// phase hands out one consumer's view of the artifact: an indexPhase on
+// the given image — the master itself for an uncached build, otherwise a
+// private copy-on-write clone of it.
+func (a *kernelArtifact) phase(as *vm.AddressSpace, warmKey string) *indexPhase {
+	k := a.kernel
+	return hashJoinPhase(as, k.Index, k.ProbeKeyBase, len(k.ProbeKeys), a.traces, warmKey)
 }
 
 // kernelPhase builds (or fetches from the warm cache) the kernel workload
@@ -128,7 +116,7 @@ func (a *kernelArtifact) phase(withTraces bool) *indexPhase {
 // probe-sample knob enters through the derived OuterTuples stream length,
 // so two configs that produce the same stream share the build. Cache off
 // reproduces the historical inline path exactly, master image included.
-func (c Config) kernelPhase(size join.SizeClass, withTraces bool) (*indexPhase, error) {
+func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 	kcfg := join.DefaultKernelConfig(size, c.Scale)
 	// The probe stream only needs to cover the detailed sample.
 	kcfg.OuterTuples = c.sampleCount(4 * size.Tuples(c.Scale))
@@ -147,16 +135,7 @@ func (c Config) kernelPhase(size join.SizeClass, withTraces bool) (*indexPhase, 
 		if err != nil {
 			return nil, err
 		}
-		ph := &indexPhase{
-			as:           art.kernel.AS,
-			index:        art.kernel.Index,
-			probeKeyBase: art.kernel.ProbeKeyBase,
-			probeCount:   len(art.kernel.ProbeKeys),
-		}
-		if withTraces {
-			ph.traces = art.traces
-		}
-		return ph, nil
+		return art.phase(art.kernel.AS, ""), nil
 	}
 	key := warmKey(warmstate.NewFingerprint("kernel").
 		Field("size", kcfg.Size).
@@ -170,9 +149,18 @@ func (c Config) kernelPhase(size join.SizeClass, withTraces bool) (*indexPhase, 
 	if err != nil {
 		return nil, err
 	}
-	ph := art.phase(withTraces)
-	ph.warmKey = key
-	return ph, nil
+	// Clone under the artifact's lock: vm.AddressSpace.Clone mutates the
+	// parent's sharing bookkeeping.
+	art.mu.Lock()
+	as := art.kernel.AS.Clone()
+	art.mu.Unlock()
+	return art.phase(as, key), nil
+}
+
+// enginePhase is the index phase of an executed query: its hash join's
+// probe stream over the engine-built index.
+func enginePhase(res *engine.Result, warmKey string) *indexPhase {
+	return hashJoinPhase(res.AS, res.Index, res.ProbeKeyBase, res.ProbeCount, res.Traces, warmKey)
 }
 
 // engineArtifact is one memoized query-engine run: the full engine result

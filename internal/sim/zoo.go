@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"widx/internal/cores"
-	"widx/internal/hashidx"
 	"widx/internal/sampling"
 	"widx/internal/structures"
 	"widx/internal/vm"
@@ -169,88 +168,11 @@ func (c Config) zooPhase(cfg structures.BuildConfig) (*vm.AddressSpace, structur
 	return as, art.inst, key, nil
 }
 
-// runZooWidx executes one structure's probes on one Widx design point.
-func (c Config) runZooWidx(inst structures.Instance, as *vm.AddressSpace, resultBase uint64, walkers int, prog structures.ProgramOptions) (*widx.OffloadResult, error) {
-	progs, err := inst.Programs(resultBase, prog)
-	if err != nil {
-		return nil, err
-	}
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(c.widxSpec(sl.Topology(), "widx"))
-	acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: widx.SharedDispatcher},
-		hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
-	if err != nil {
-		return nil, err
-	}
-	return acc.Offload(widx.OffloadRequest{
-		KeyBase:  inst.ProbeKeyBase(),
-		KeyCount: uint64(inst.ProbeCount()),
-	})
-}
-
-// runZooWidxSampled executes one structure's probes on one Widx design
-// point through a sampling plan: fast-forward spans append the reference
-// matches and warm the hierarchy from the reference traces, detailed spans
-// offload the span's key range at the current cursor, and the combined
-// stream is fingerprint-verified against the full reference (the same
-// contract the unsampled zoo enforces).
-func (c Config) runZooWidxSampled(inst structures.Instance, as *vm.AddressSpace, resultBase uint64, walkers int, prog structures.ProgramOptions,
-	plan sampling.Plan, refMatches []uint64, bounds []int, traces []hashidx.ProbeTrace, phaseKey string) (*widx.OffloadResult, []windowSample, error) {
-	progs, err := inst.Programs(resultBase, prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(c.widxSpec(sl.Topology(), "widx"))
-	acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: widx.SharedDispatcher},
-		hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
-	if err != nil {
-		return nil, nil, err
-	}
-	agg := &widx.OffloadResult{Walkers: make([]widx.Breakdown, walkers)}
-	stream := make([]uint64, 0, len(refMatches))
-	wins := make([]windowSample, 0, plan.Windows)
-	var cursor uint64
-	detailed := func(sp sampling.Span) error {
-		res, err := acc.Offload(widx.OffloadRequest{
-			KeyBase:    inst.ProbeKeyBase() + sp.Start*8,
-			KeyCount:   sp.Len(),
-			StartCycle: cursor,
-		})
-		if err != nil {
-			return err
-		}
-		cursor += res.TotalCycles
-		stream = append(stream, res.Matches...)
-		if sp.Kind != sampling.Measure {
-			return nil
-		}
-		wins = append(wins, windowSample{cycles: res.TotalCycles, tuples: res.Tuples, mshr: res.MemStats.MeanMSHROccupancy()})
-		addOffloadResult(agg, res)
-		return nil
-	}
-	ff := func(sp sampling.Span) error {
-		stream = append(stream, matchSegment(refMatches, bounds, sp.Start, sp.End)...)
-		return c.ffSpan(hier, phaseKey, traces, sp)
-	}
-	if c.SampleFullDetail {
-		ff = detailed
-	}
-	if err := plan.Run(ff, detailed); err != nil {
-		return nil, nil, err
-	}
-	if err := verifySampledStream(fmt.Sprintf("%s walker", inst.Kind()), stream, refMatches); err != nil {
-		return nil, nil, err
-	}
-	agg.Matches = stream
-	return agg, wins, nil
-}
-
 // RunZoo runs the cross-structure study. Structures fan out across workers
 // (each builds or fetches its own image), design points within a structure
-// fan out in turn, and every Widx point's match stream is verified
-// bit-identical to the structure's software reference — a mismatch fails
-// the run rather than reporting timings for wrong results.
+// fan out in turn through runPhase, and every Widx point's match stream is
+// verified bit-identical to the structure's software reference — a
+// mismatch fails the run rather than reporting timings for wrong results.
 func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -268,92 +190,44 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 			return err
 		}
 		refMatches, traces := inst.Reference()
-		refFP := structures.Fingerprint(refMatches)
-		plan := c.samplePlan(inst.ProbeCount())
-		var bounds []int
-		if c.sampling() {
-			bounds = inst.MatchBounds()
+		ph := &indexPhase{
+			as:           as,
+			probeKeyBase: inst.ProbeKeyBase(),
+			probeCount:   inst.ProbeCount(),
+			traces:       traces,
+			warmKey:      phaseKey,
+			what:         fmt.Sprintf("%s walker", kinds[i]),
+			programs: func(resultBase uint64) (*structures.Programs, error) {
+				return inst.Programs(resultBase, opt.Prog)
+			},
+			resultName: func(p widxPoint) string {
+				return fmt.Sprintf("zoo.results.w%d", p.walkers)
+			},
+			resultBytes: uint64(len(refMatches))*8 + 64,
+			ref:         &matchRef{matches: refMatches, bounds: inst.MatchBounds()},
 		}
-		var oooWins []windowSample
-		widxWins := make([][]windowSample, len(c.Walkers))
-
-		// Result regions for every design point first, in walker order, then
-		// all clones — the sequential allocation order that keeps parallel
-		// runs byte-identical (see runner.go).
-		resultBases := make([]uint64, len(c.Walkers))
-		for j, w := range c.Walkers {
-			resultBases[j] = as.AllocAligned(fmt.Sprintf("zoo.results.w%d", w),
-				uint64(len(refMatches))*8+64)
+		baseRes, widxRes, ps, err := inner.runPhase(ph,
+			[]cores.Config{oooConfig()}, c.walkerPoints(widx.SharedDispatcher))
+		if err != nil {
+			return err
 		}
-		spaces := make([]*vm.AddressSpace, len(c.Walkers))
-		for j := range spaces {
-			if inner.parallelism() <= 1 {
-				spaces[j] = as
-			} else {
-				spaces[j] = as.Clone()
-			}
-		}
-
-		var ooo cores.Result
+		ooo := baseRes[0]
 		points := make([]ZooPoint, len(c.Walkers))
-		if err := inner.RunTasks(1+len(c.Walkers), func(j int) error {
-			if j == 0 {
-				bph := &indexPhase{traces: traces, warmKey: phaseKey}
-				if c.sampling() {
-					r, wins, err := inner.runBaselineSampled(bph, oooConfig(), plan)
-					if err != nil {
-						return err
-					}
-					ooo = r
-					oooWins = wins
-					return nil
-				}
-				r, err := inner.runBaseline(bph, oooConfig())
-				if err != nil {
-					return err
-				}
-				ooo = r
-				return nil
-			}
-			w := c.Walkers[j-1]
-			var res *widx.OffloadResult
-			if c.sampling() {
-				var wins []windowSample
-				res, wins, err = inner.runZooWidxSampled(inst, spaces[j-1], resultBases[j-1], w, opt.Prog,
-					plan, refMatches, bounds, traces, phaseKey)
-				if err != nil {
-					return err
-				}
-				widxWins[j-1] = wins
-			} else {
-				res, err = inner.runZooWidx(inst, spaces[j-1], resultBases[j-1], w, opt.Prog)
-				if err != nil {
-					return err
-				}
-				if got := structures.Fingerprint(res.Matches); got != refFP {
-					return fmt.Errorf("sim: %s walker output diverged from the software reference (%d matches fp %#x, want %d fp %#x)",
-						kinds[i], len(res.Matches), got, len(refMatches), refFP)
-				}
-			}
-			points[j-1] = ZooPoint{
+		for j, w := range c.Walkers {
+			res := widxRes[j]
+			points[j] = ZooPoint{
 				Walkers:        w,
 				CyclesPerTuple: res.CyclesPerTuple(),
 				Breakdown:      scaleBreakdown(res.WalkerTotal, w, res.Tuples),
+				Speedup:        ooo.CyclesPerTuple() / res.CyclesPerTuple(),
 				Raw:            rawDetail(res),
 			}
-			return nil
-		}); err != nil {
-			return err
 		}
-		for j := range points {
-			points[j].Speedup = ooo.CyclesPerTuple() / points[j].CyclesPerTuple
-		}
-		if c.sampling() {
-			rep := sampling.NewReport(plan)
-			rep.FingerprintVerified = len(c.Walkers) > 0
-			rep.Add(sampledMetricName("ooo", metricCPT), cptSeries(oooWins))
+		if ps != nil {
+			rep := ps.report
+			rep.Add(sampledMetricName("ooo", metricCPT), cptSeries(ps.baseWins[0]))
 			for j, w := range c.Walkers {
-				addSampledPoint(rep, fmt.Sprintf("%dw", w), oooWins, widxWins[j])
+				addSampledPoint(rep, fmt.Sprintf("%dw", w), ps.baseWins[0], ps.widxWins[j])
 			}
 			perKindSampling[i] = rep
 		}
@@ -362,7 +236,7 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 			Geometry:          inst.Geometry(),
 			Probes:            inst.ProbeCount(),
 			Matches:           len(refMatches),
-			Fingerprint:       refFP,
+			Fingerprint:       structures.Fingerprint(refMatches),
 			OoOCyclesPerTuple: ooo.CyclesPerTuple(),
 			Points:            points,
 		}

@@ -1,12 +1,12 @@
 // Package stats provides small statistical helpers used throughout the
 // simulator and the benchmark harness: means, geometric means, standard
-// deviations, confidence intervals and deterministic pseudo-random number
-// generation for workload synthesis.
+// deviations, percentiles and deterministic pseudo-random number generation
+// for workload synthesis.
 //
 // The package is dependency-free and deliberately simple; it is not a
 // general-purpose statistics library, only what the Widx reproduction needs
-// to report SMARTS-style sampled measurements (mean with a confidence
-// interval) and paper-style geometric-mean speedups.
+// for paper-style geometric-mean speedups. Confidence intervals of sampled
+// measurements live in internal/sampling/stats.
 package stats
 
 import (
@@ -121,58 +121,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// ConfidenceInterval describes a mean together with its half-width at a given
-// confidence level, in the style of SimFlex/SMARTS sampled measurements
-// ("computed at 95% confidence with an average error of less than 5%").
-type ConfidenceInterval struct {
-	Mean       float64 // sample mean
-	HalfWidth  float64 // half-width of the interval around the mean
-	Confidence float64 // confidence level, e.g. 0.95
-	N          int     // number of samples
-}
-
-// RelativeError returns the half-width as a fraction of the mean. It reports
-// 0 when the mean is 0.
-func (ci ConfidenceInterval) RelativeError() float64 {
-	if ci.Mean == 0 {
-		return 0
-	}
-	return math.Abs(ci.HalfWidth / ci.Mean)
-}
-
-// Low returns the lower bound of the interval.
-func (ci ConfidenceInterval) Low() float64 { return ci.Mean - ci.HalfWidth }
-
-// High returns the upper bound of the interval.
-func (ci ConfidenceInterval) High() float64 { return ci.Mean + ci.HalfWidth }
-
-// zValue maps the supported confidence levels to standard-normal critical
-// values. The simulator only ever asks for 90/95/99%.
-func zValue(confidence float64) float64 {
-	switch {
-	case confidence >= 0.99:
-		return 2.576
-	case confidence >= 0.95:
-		return 1.960
-	case confidence >= 0.90:
-		return 1.645
-	default:
-		return 1.0
-	}
-}
-
-// NewConfidenceInterval computes the normal-approximation confidence interval
-// of the mean of xs at the given confidence level (e.g. 0.95).
-func NewConfidenceInterval(xs []float64, confidence float64) (ConfidenceInterval, error) {
-	if len(xs) == 0 {
-		return ConfidenceInterval{}, ErrEmpty
-	}
-	m := Mean(xs)
-	sd := StdDev(xs)
-	half := zValue(confidence) * sd / math.Sqrt(float64(len(xs)))
-	return ConfidenceInterval{Mean: m, HalfWidth: half, Confidence: confidence, N: len(xs)}, nil
 }
 
 // Normalize divides every element of xs by base and returns the result as a

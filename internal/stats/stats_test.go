@@ -93,38 +93,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestConfidenceInterval(t *testing.T) {
-	xs := []float64{10, 10, 10, 10}
-	ci, err := NewConfidenceInterval(xs, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Mean != 10 || ci.HalfWidth != 0 {
-		t.Fatalf("constant samples should give zero half-width, got %+v", ci)
-	}
-	if ci.Low() != 10 || ci.High() != 10 {
-		t.Fatalf("bounds wrong: %v..%v", ci.Low(), ci.High())
-	}
-	if ci.RelativeError() != 0 {
-		t.Fatalf("relative error = %v, want 0", ci.RelativeError())
-	}
-
-	xs2 := []float64{8, 9, 10, 11, 12}
-	ci2, err := NewConfidenceInterval(xs2, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci2.Mean != 10 {
-		t.Fatalf("mean = %v", ci2.Mean)
-	}
-	if ci2.HalfWidth <= 0 {
-		t.Fatalf("half width should be positive, got %v", ci2.HalfWidth)
-	}
-	if _, err := NewConfidenceInterval(nil, 0.95); err != ErrEmpty {
-		t.Fatalf("expected ErrEmpty, got %v", err)
-	}
-}
-
 func TestNormalizeAndSpeedup(t *testing.T) {
 	got := Normalize([]float64{2, 4, 6}, 2)
 	want := []float64{1, 2, 3}
