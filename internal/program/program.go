@@ -265,22 +265,29 @@ func Walker(s Spec) (*isa.Program, error) {
 	return p, nil
 }
 
-// Producer generates the output-producer program: it stores each match to the
-// result region and advances the write cursor. The cursor lives in RegCursor,
-// which persists across work items (Widx unit registers are only initialized
-// at configuration time).
+// Producer generates the output-producer program for the spec's result
+// region (see ResultProducer).
 func Producer(s Spec) (*isa.Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if s.ResultBase == 0 {
+	return ResultProducer(s.ResultBase)
+}
+
+// ResultProducer generates the output-producer program every Widx offload
+// uses, whatever it traverses: it stores each match to the result region at
+// resultBase and advances the write cursor. The cursor lives in RegCursor,
+// which persists across work items (Widx unit registers are only
+// initialized at configuration time).
+func ResultProducer(resultBase uint64) (*isa.Program, error) {
+	if resultBase == 0 {
 		return nil, fmt.Errorf("program: producer needs a result region")
 	}
 	p := &isa.Program{
 		Name:      "produce",
 		Kind:      isa.Producer,
 		InputRegs: []isa.Reg{RegMatch},
-		ConstRegs: map[isa.Reg]uint64{RegCursor: s.ResultBase},
+		ConstRegs: map[isa.Reg]uint64{RegCursor: resultBase},
 		Code: []isa.Instruction{
 			{Op: isa.ST, SrcA: RegCursor, SrcB: RegMatch},
 			{Op: isa.ADD, Dst: RegCursor, SrcA: RegCursor, UseImm: true, Imm: 8},

@@ -97,6 +97,11 @@ func (s CMPAgentSpec) String() string {
 	return out
 }
 
+// maxAgents bounds the total agent count of one CMP specification: far past
+// any simulated CMP, and small enough that a mistyped replication count is
+// an error rather than an allocation the process cannot survive.
+const maxAgents = 256
+
 // ParseAgents parses a CMP agent specification such as
 // "4xooo+4xwidx:4w:mshrs=5:ways=4": "+"-separated groups, each an optional
 // "Nx" replication prefix, a kind (widx, ooo, inorder), and ":"-separated
@@ -106,7 +111,7 @@ func (s CMPAgentSpec) String() string {
 // lowest N ways and overlap: "ways=N" is a fence bounding how much of each
 // LLC set the agent may claim, not a disjoint slice — fenced agents contend
 // among themselves in the low ways while the unfenced ways stay exclusive
-// to full-LLC agents.
+// to full-LLC agents. A spec may name at most maxAgents agents in total.
 func ParseAgents(spec string) ([]CMPAgentSpec, error) {
 	var out []CMPAgentSpec
 	for _, group := range strings.Split(spec, "+") {
@@ -164,6 +169,9 @@ func ParseAgents(spec string) ([]CMPAgentSpec, error) {
 				}
 				one.Walkers = w
 			}
+		}
+		if count > maxAgents-len(out) {
+			return nil, fmt.Errorf("sim: more than %d agents in %q", maxAgents, spec)
 		}
 		for i := 0; i < count; i++ {
 			out = append(out, one)
@@ -252,30 +260,16 @@ type cmpRunner struct {
 }
 
 // cmpAgentWorkload is one agent's private partition of the CMP workload:
-// its structure's resident regions (for LLC warming), its probe-key column,
-// the software reference's probe traces and match stream, and — for Widx
-// agents — the program bundle pointing at a private result region. Traces
-// are built for every agent kind (host cores replay them; sampled runs warm
-// fast-forward spans from them), and ref carries the reference output Widx
-// agents fast-forward through and fingerprint-verify against.
+// its probe workload as a structures.Instance (resident regions for LLC
+// warming, probe-key column, traces, reference match stream) and — for
+// Widx agents — the program bundle pointing at a private result region.
+// Host cores replay the traces; sampled runs warm fast-forward spans from
+// them, and Widx agents fast-forward through and fingerprint-verify
+// against the reference.
 type cmpAgentWorkload struct {
-	name    string
-	regions [][2]uint64
-	keyBase uint64
-	keys    int
-	progs   *structures.Programs
-	traces  []hashidx.ProbeTrace
-	ref     matchRef
-}
-
-// span returns the workload restricted to probes [sp.Start, sp.End): the
-// key column and trace slice a span-sized runner consumes.
-func (w *cmpAgentWorkload) span(sp sampling.Span) *cmpAgentWorkload {
-	sw := *w
-	sw.keyBase = w.keyBase + sp.Start*8
-	sw.keys = int(sp.Len())
-	sw.traces = w.traces[sp.Start:sp.End]
-	return &sw
+	name  string
+	inst  structures.Instance
+	progs *structures.Programs
 }
 
 // buildCMPWorkload lays out one partition per agent in a single shared
@@ -283,68 +277,38 @@ func (w *cmpAgentWorkload) span(sp sampling.Span) *cmpAgentWorkload {
 // traversal structure of the size class's scaled tuple count and its own
 // probe stream drawn from that partition. Allocation happens in spec order,
 // so addresses are fixed by the (spec, structure) pair alone. The hash-join
-// path is the historical partitioned-join build, byte for byte; the other
-// zoo structures build through structures.Build with the same per-agent
-// seeding.
+// partition is the historical partitioned-join build, byte for byte; the
+// other zoo structures build through structures.Build with the same
+// per-agent seeding. Either way the partition is an Instance, and a Widx
+// agent's result region follows it.
 func (c Config) buildCMPWorkload(size join.SizeClass, specs []CMPAgentSpec, structure structures.Kind) (*vm.AddressSpace, []cmpAgentWorkload, error) {
 	buildN := size.Tuples(c.Scale)
 	perAgent := c.sampleCount(4 * buildN)
-	buckets := uint64(1)
-	for float64(buildN)/float64(buckets) > 2 { // the kernel's 2-nodes-per-bucket target
-		buckets <<= 1
-	}
 	as := vm.New()
 	out := make([]cmpAgentWorkload, len(specs))
 	for i, spec := range specs {
 		w := &out[i]
 		w.name = fmt.Sprintf("%s.%d", spec, i)
-		if structure != structures.HashJoin {
-			if err := c.buildCMPStructurePartition(as, w, spec, structure, buildN, perAgent, i); err != nil {
-				return nil, nil, err
-			}
-			continue
+		seed := 2013 + 1000*uint64(i)
+		var err error
+		if structure == structures.HashJoin {
+			w.inst, err = buildCMPHashJoin(as, w.name, buildN, perAgent, seed)
+		} else {
+			w.inst, err = structures.Build(as, structures.BuildConfig{
+				Kind:   structure,
+				Keys:   structureKeys(structure, buildN),
+				Probes: perAgent,
+				Seed:   seed,
+				Name:   "cmp." + w.name,
+			})
 		}
-		w.keys = perAgent
-		rng := stats.NewRNG(2013 + 1000*uint64(i))
-		buildKeys := make([]uint64, buildN)
-		seen := make(map[uint64]bool, buildN)
-		for j := range buildKeys {
-			for {
-				k := uint64(rng.Uint32())
-				if k != 0 && !seen[k] {
-					buildKeys[j], seen[k] = k, true
-					break
-				}
-			}
-		}
-		tbl, err := hashidx.Build(as, hashidx.Config{
-			Layout:      hashidx.LayoutInline,
-			Hash:        hashidx.HashSimple,
-			BucketCount: buckets,
-			Name:        "cmp." + w.name,
-		}, buildKeys, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		w.regions = tbl.Regions()
-		probeKeys := make([]uint64, perAgent)
-		for j := range probeKeys {
-			probeKeys[j] = buildKeys[rng.Intn(buildN)]
-		}
-		w.keyBase = as.AllocAligned(w.name+".keys", uint64(perAgent)*8)
-		for j, k := range probeKeys {
-			as.Write64(w.keyBase+uint64(j)*8, k)
-		}
-		w.traces = make([]hashidx.ProbeTrace, perAgent)
-		w.ref.bounds = make([]int, perAgent)
-		for j, k := range probeKeys {
-			w.traces[j] = tbl.ProbeFrom(k, w.keyBase+uint64(j)*8).Trace
-			w.ref.matches = append(w.ref.matches, tbl.ProbeMatches(k)...)
-			w.ref.bounds[j] = len(w.ref.matches)
-		}
 		if spec.Kind == AgentWidx {
-			resultBase := as.AllocAligned(w.name+".results", uint64(perAgent)*8+64)
-			if w.progs, err = hashJoinPrograms(tbl, resultBase); err != nil {
+			matches, _ := w.inst.Reference()
+			resultBase := as.AllocAligned(w.name+".results", uint64(len(matches))*8+64)
+			if w.progs, err = w.inst.Programs(resultBase, structures.ProgramOptions{}); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -352,43 +316,43 @@ func (c Config) buildCMPWorkload(size join.SizeClass, specs []CMPAgentSpec, stru
 	return as, out, nil
 }
 
-// buildCMPStructurePartition builds one agent's partition as a zoo
-// structure, mirroring the hash-join path's per-agent seeding and
-// allocation order (structure, probe column, then the Widx result region).
-func (c Config) buildCMPStructurePartition(as *vm.AddressSpace, w *cmpAgentWorkload, spec CMPAgentSpec, structure structures.Kind, buildN, perAgent, agent int) error {
-	keys := buildN
-	if structure == structures.BFS {
-		// Vertices; the mean degree of 8 keeps the edge footprint comparable
-		// to the other partitions' resident sets.
-		keys /= 8
-		if keys < 128 {
-			keys = 128
+// buildCMPHashJoin builds one hash-join partition: buildN unique keys in an
+// inline-layout table at the kernel's 2-nodes-per-bucket target, then a
+// column of probe keys drawn from them.
+func buildCMPHashJoin(as *vm.AddressSpace, name string, buildN, probes int, seed uint64) (structures.Instance, error) {
+	buckets := uint64(1)
+	for float64(buildN)/float64(buckets) > 2 {
+		buckets <<= 1
+	}
+	rng := stats.NewRNG(seed)
+	buildKeys := make([]uint64, buildN)
+	seen := make(map[uint64]bool, buildN)
+	for j := range buildKeys {
+		for {
+			k := uint64(rng.Uint32())
+			if k != 0 && !seen[k] {
+				buildKeys[j], seen[k] = k, true
+				break
+			}
 		}
 	}
-	inst, err := structures.Build(as, structures.BuildConfig{
-		Kind:   structure,
-		Keys:   keys,
-		Probes: perAgent,
-		Seed:   2013 + 1000*uint64(agent),
-		Name:   "cmp." + w.name,
-	})
+	tbl, err := hashidx.Build(as, hashidx.Config{
+		Layout:      hashidx.LayoutInline,
+		Hash:        hashidx.HashSimple,
+		BucketCount: buckets,
+		Name:        "cmp." + name,
+	}, buildKeys, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w.regions = inst.Regions()
-	w.keyBase = inst.ProbeKeyBase()
-	w.keys = inst.ProbeCount()
-	matches, traces := inst.Reference()
-	w.traces = traces
-	w.ref = matchRef{matches: matches, bounds: inst.MatchBounds()}
-	if spec.Kind == AgentWidx {
-		resultBase := as.AllocAligned(w.name+".results", uint64(len(matches))*8+64)
-		w.progs, err = inst.Programs(resultBase, structures.ProgramOptions{})
-		if err != nil {
-			return err
-		}
+	keyBase := as.AllocAligned(name+".keys", uint64(probes)*8)
+	traces := make([]hashidx.ProbeTrace, probes)
+	for j := range traces {
+		k := buildKeys[rng.Intn(buildN)]
+		as.Write64(keyBase+uint64(j)*8, k)
+		traces[j] = tbl.ProbeFrom(k, keyBase+uint64(j)*8).Trace
 	}
-	return nil
+	return structures.FromHashIndex(tbl, keyBase, traces), nil
 }
 
 // warmPartition installs the agent's partition into the shared LLC (and its
@@ -414,7 +378,7 @@ type blockCursor struct {
 }
 
 func newBlockCursor(hier *mem.Hierarchy, w *cmpAgentWorkload) *blockCursor {
-	c := &blockCursor{regions: w.regions, block: uint64(hier.Config().L1BlockBytes)}
+	c := &blockCursor{regions: w.inst.Regions(), block: uint64(hier.Config().L1BlockBytes)}
 	if len(c.regions) > 0 {
 		c.addr = c.regions[0][0]
 	}
@@ -479,10 +443,11 @@ func (c Config) cmpAgentSpec(top mem.Topology, name string, spec CMPAgentSpec) m
 	return as
 }
 
-// newCMPRunner wires one agent spec onto a hierarchy view: a Widx offload
-// over its key column, or a core replay of its traces, beginning at
-// startCycle (the arrival stagger of the co-run; solo runs pass 0).
-func newCMPRunner(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload, queueDepth int, startCycle uint64) (*cmpRunner, error) {
+// newCMPRunner wires one agent spec onto a hierarchy view for the span's
+// probes: a Widx offload over that stretch of its key column, or a core
+// replay of those traces, beginning at startCycle (the arrival stagger of
+// the co-run; solo runs pass 0).
+func newCMPRunner(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload, sp sampling.Span, queueDepth int, startCycle uint64) (*cmpRunner, error) {
 	switch spec.Kind {
 	case AgentWidx:
 		walkers := spec.Walkers
@@ -494,7 +459,7 @@ func newCMPRunner(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w
 		if err != nil {
 			return nil, err
 		}
-		o, err := acc.StartOffload(widx.OffloadRequest{KeyBase: w.keyBase, KeyCount: uint64(w.keys), StartCycle: startCycle})
+		o, err := acc.StartOffload(widx.OffloadRequest{KeyBase: w.inst.ProbeKeyBase() + sp.Start*8, KeyCount: sp.Len(), StartCycle: startCycle})
 		if err != nil {
 			return nil, err
 		}
@@ -526,7 +491,8 @@ func newCMPRunner(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w
 		if err != nil {
 			return nil, err
 		}
-		e, err := core.NewProbeEngine(w.traces, startCycle)
+		_, traces := w.inst.Reference()
+		e, err := core.NewProbeEngine(traces[sp.Start:sp.End], startCycle)
 		if err != nil {
 			return nil, err
 		}
@@ -543,14 +509,14 @@ func newCMPRunner(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w
 	}
 }
 
-// output returns the assembler of the agent's match stream: a Widx agent's
-// is checked against its partition's reference; host cores emit no
-// matches, so theirs has no reference and stays empty.
-func (w *cmpAgentWorkload) output() *matchStream {
+// output returns the assembler of the agent's match stream over the plan's
+// probes: a Widx agent's is checked against its partition's reference;
+// host cores emit no matches, so theirs is nil.
+func (w *cmpAgentWorkload) output(plan sampling.Plan) *matchStream {
 	if w.progs == nil {
-		return &matchStream{}
+		return nil
 	}
-	return &matchStream{ref: &w.ref}
+	return newMatchStream(w.inst, plan.Probes)
 }
 
 // runCMPSolo executes one agent's stream alone through the plan on its
@@ -564,9 +530,10 @@ func (c Config) runCMPSolo(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.Addres
 	var cycles, cursor uint64
 	var memStats mem.Stats
 	var wins []windowSample
-	stream := w.output()
+	_, traces := w.inst.Reference()
+	stream := w.output(plan)
 	detailed := func(sp sampling.Span) error {
-		run, err := newCMPRunner(hier, spec, as, w.span(sp), c.queueDepth(), cursor)
+		run, err := newCMPRunner(hier, spec, as, w, sp, c.queueDepth(), cursor)
 		if err != nil {
 			return err
 		}
@@ -590,10 +557,8 @@ func (c Config) runCMPSolo(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.Addres
 		return nil
 	}
 	ff := func(sp sampling.Span) error {
-		if stream.ref != nil {
-			stream.fastForward(sp)
-		}
-		ffWarm(hier, w.traces[sp.Start:sp.End])
+		stream.fastForward(sp)
+		ffWarm(hier, traces[sp.Start:sp.End])
 		return nil
 	}
 	if c.SampleFullDetail {
@@ -659,7 +624,7 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	// Every agent's partition carries the same probe-stream length, so one
 	// plan drives all of them and the co-run's rounds stay aligned. Without
 	// sampling it is the one-window full plan: one detailed round.
-	plan := c.samplePlan(workloads[0].keys)
+	plan := c.samplePlan(workloads[0].inst.ProbeCount())
 	soloWins := make([][]windowSample, k)
 	coWins := make([][]windowSample, k)
 
@@ -715,14 +680,14 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	// cycle.
 	streams := make([]*matchStream, k)
 	for i := range workloads {
-		streams[i] = workloads[i].output()
+		streams[i] = workloads[i].output(plan)
 	}
 	var cursor uint64
 	detailed := func(sp sampling.Span) error {
 		runs := make([]*cmpRunner, k)
 		agents := make([]system.Agent, k)
 		for i, spec := range specs {
-			r, err := newCMPRunner(hiers[i], spec, as, workloads[i].span(sp), c.queueDepth(), cursor+uint64(i)*c.Stagger)
+			r, err := newCMPRunner(hiers[i], spec, as, &workloads[i], sp, c.queueDepth(), cursor+uint64(i)*c.Stagger)
 			if err != nil {
 				return err
 			}
@@ -755,10 +720,9 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	}
 	ff := func(sp sampling.Span) error {
 		for i := range workloads {
-			if streams[i].ref != nil {
-				streams[i].fastForward(sp)
-			}
-			ffWarm(hiers[i], workloads[i].traces[sp.Start:sp.End])
+			streams[i].fastForward(sp)
+			_, traces := workloads[i].inst.Reference()
+			ffWarm(hiers[i], traces[sp.Start:sp.End])
 		}
 		return nil
 	}

@@ -78,6 +78,38 @@ func TestParseAgents(t *testing.T) {
 	if err != nil || len(back) != 1 || back[0] != het[1] {
 		t.Fatalf("spec round trip failed: %+v %v", back, err)
 	}
+
+	// The total agent count is capped, across groups too: a huge
+	// replication count is an error, not an allocation.
+	if s, err := ParseAgents("256xooo"); err != nil || len(s) != maxAgents {
+		t.Fatalf("%d agents should parse: %d %v", maxAgents, len(s), err)
+	}
+	for _, bad := range []string{"3000000000xooo", "257xooo", "200xooo+57xwidx:2w", "9223372036854775807xwidx"} {
+		if _, err := ParseAgents(bad); err == nil || !strings.Contains(err.Error(), "more than") {
+			t.Fatalf("spec %q should exceed the agent cap, got %v", bad, err)
+		}
+	}
+}
+
+// FuzzParseAgents checks the agent grammar on arbitrary input: no panic, a
+// successful parse stays within the agent cap, and every parsed spec
+// renders to a string that parses back to exactly that spec.
+func FuzzParseAgents(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		specs, err := ParseAgents(spec)
+		if err != nil {
+			return
+		}
+		if len(specs) == 0 || len(specs) > maxAgents {
+			t.Fatalf("%q parsed to %d agents", spec, len(specs))
+		}
+		for _, s := range specs {
+			back, err := ParseAgents(s.String())
+			if err != nil || len(back) != 1 || back[0] != s {
+				t.Fatalf("%q: spec %+v renders %q, which parses to %+v (%v)", spec, s, s.String(), back, err)
+			}
+		}
+	})
 }
 
 // TestCMPContentionMeasurable is the acceptance experiment: four co-running

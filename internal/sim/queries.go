@@ -7,6 +7,7 @@ import (
 	"widx/internal/energy"
 	"widx/internal/sampling"
 	"widx/internal/stats"
+	"widx/internal/structures"
 	"widx/internal/widx"
 	"widx/internal/workloads"
 )
@@ -54,11 +55,11 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	engRes, engKey, err := c.engineRunKeyed(q, true)
+	art, key, err := c.engineWorkload(q)
 	if err != nil {
 		return nil, fmt.Errorf("sim: query %s %s: %w", q.Suite, q.Name, err)
 	}
-	ph := enginePhase(engRes, engKey)
+	engRes, ph := art.eng, art.phase(key, structures.ProgramOptions{})
 
 	res := &QueryResult{
 		Query:              q,
@@ -278,10 +279,11 @@ func (c Config) RunBreakdowns(simulatedOnly bool) (BreakdownRows, error) {
 		q := queries[i]
 		// Breakdown rows read only the engine-level measurements, so the
 		// shared cached result suffices — no address-space clone.
-		engRes, err := c.engineRun(q, false)
+		art, _, err := c.engineWorkload(q)
 		if err != nil {
 			return err
 		}
+		engRes := art.eng
 		rows[i] = BreakdownRow{
 			Query:             q,
 			Measured:          engRes.Breakdown.Shares(),
@@ -314,11 +316,11 @@ func (c Config) RunHashingAblation(q workloads.QuerySpec, walkers int) (*Ablatio
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	engRes, engKey, err := c.engineRunKeyed(q, true)
+	art, key, err := c.engineWorkload(q)
 	if err != nil {
 		return nil, err
 	}
-	ph := enginePhase(engRes, engKey)
+	ph := art.phase(key, structures.ProgramOptions{})
 	out := &AblationResult{Query: fmt.Sprintf("%s %s", q.Suite, q.Name), Walkers: walkers}
 	// Fixed design-point order: the previous map iteration randomized the
 	// result-region allocation order (and with it buffer addresses) from run

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -128,21 +129,24 @@ type widxPoint struct {
 // given baseline cores plus Widx at every point. It is the one place the
 // parallel-determinism rules above are applied: result regions for all
 // Widx points are allocated up front, in point order, on the phase's own
-// address space (the order a sequential runner would produce); then every
-// clone is taken; then the design points fan out, each Widx task on a
-// private clone when running in parallel. Returned slices are parallel to
-// the input slices.
+// address space (the order a sequential runner would produce), each sized
+// for the phase's whole reference match stream; then every clone is taken;
+// then the design points fan out, each Widx task on a private clone when
+// running in parallel. Returned slices are parallel to the input slices.
 //
-// Every design point executes the same plan (samplePlan) through its
-// agent kind's plan runner: with sampling off that is the one-window full
-// plan, so a full-detail run is the degenerate sampled run. The
-// per-window observations come back in phaseSampling, which is nil when
-// sampling is off. Plan placement is a pure function of the stream, so
-// parallel runs stay bit-identical to sequential ones.
+// Every design point executes the same plan (samplePlan) over the sampled
+// probe prefix through its agent kind's plan runner: with sampling off that
+// is the one-window full plan, so a full-detail run is the degenerate
+// sampled run. Every Widx point's output is verified against the
+// reference matches of that prefix. The per-window observations come back
+// in phaseSampling, which is nil when sampling is off. Plan placement is a
+// pure function of the stream, so parallel runs stay bit-identical to
+// sequential ones.
 func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widxPoint) ([]cores.Result, []*widx.OffloadResult, *phaseSampling, error) {
+	matches, _ := ph.inst.Reference()
 	resultBases := make([]uint64, len(points))
 	for i, p := range points {
-		resultBases[i] = ph.as.AllocAligned(ph.resultName(p), ph.resultBytes)
+		resultBases[i] = ph.as.AllocAligned(fmt.Sprintf("results.w%d.m%d", p.walkers, p.mode), uint64(len(matches))*8+64)
 	}
 	// Private memory images for parallel Widx tasks: the producer's result
 	// stores must not touch the address space other tasks are reading. The
@@ -157,15 +161,7 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 		}
 	}
 
-	// The plan covers exactly the sampled probe prefix. Fast-forward spans
-	// emit the software reference's matches, so a plan that has them needs
-	// the reference stream; it is computed once and shared by every Widx
-	// point's fast-forward output and fingerprint check.
-	n := c.sampleCount(ph.probeCount)
-	plan := c.samplePlan(n)
-	if ph.ref == nil && plan.Sampled() {
-		ph.ref = refStream(ph.index, ph.traces[:n])
-	}
+	plan := c.samplePlan(c.sampleCount(ph.inst.ProbeCount()))
 	baseRes := make([]cores.Result, len(baselines))
 	widxRes := make([]*widx.OffloadResult, len(points))
 	baseWins := make([][]windowSample, len(baselines))

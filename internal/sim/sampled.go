@@ -16,13 +16,14 @@
 // occupancy, queue fill, LRU recency) and are excluded from measurement.
 //
 // Correctness contract: the functional output is bit-identical to the
-// full-detail run. Every design point with a match stream concatenates the
-// reference matches of its fast-forward spans with the simulated matches
-// of its detailed spans, in probe order, and the fingerprint of that
-// stream must equal the full software reference's — a mismatch is a hard
-// run error. Window placement is a pure function of (stream length,
-// knobs), so sampled results are byte-identical at every parallelism
-// level.
+// software reference, in full detail and sampled alike. Every design point
+// with a match stream concatenates the reference matches of its
+// fast-forward spans with the simulated matches of its detailed spans, in
+// probe order, and the fingerprint of that stream must equal the
+// reference's over the plan's probes (structures.Instance supplies it for
+// every phase) — a mismatch is a hard run error. Window placement is a
+// pure function of (stream length, knobs), so sampled results are
+// byte-identical at every parallelism level.
 package sim
 
 import (
@@ -138,53 +139,52 @@ func (c Config) ffSpan(hier *mem.Hierarchy, phaseKey string, traces []hashidx.Pr
 	return nil
 }
 
-// matchRef is a software reference's match stream with per-probe bounds:
-// probe i's matches occupy matches[bounds[i-1]:bounds[i]] (bounds[-1] is
-// implicitly 0).
-type matchRef struct {
-	matches []uint64
-	bounds  []int
-}
-
-// refStream computes the software-reference match stream of the given
-// probes.
-func refStream(index *hashidx.Table, traces []hashidx.ProbeTrace) *matchRef {
-	r := &matchRef{bounds: make([]int, len(traces))}
-	for i := range traces {
-		r.matches = append(r.matches, index.ProbeMatches(traces[i].Key)...)
-		r.bounds[i] = len(r.matches)
-	}
-	return r
-}
-
-// segment slices the reference stream to the matches of probes [lo, hi).
-func (r *matchRef) segment(lo, hi uint64) []uint64 {
-	start := 0
-	if lo > 0 {
-		start = r.bounds[lo-1]
-	}
-	return r.matches[start:r.bounds[hi-1]]
-}
-
 // matchStream assembles one design point's functional output in probe
-// order: the reference matches of fast-forward spans and the simulated
-// matches of detailed spans. The output of a single detailed span — a
-// full-detail run — is that span's own slice, not a copy.
+// order — the reference matches of fast-forward spans and the simulated
+// matches of detailed spans — and checks it against the reference matches
+// of the plan's probes. The output of a single detailed span — a
+// full-detail run — is that span's own slice, not a copy. A nil stream
+// (a host core in a CMP run, which emits no matches) ignores every call.
 type matchStream struct {
-	ref *matchRef
-	out []uint64
+	// ref is the reference match stream of the plan's probes; probe i's
+	// matches end at bounds[i].
+	ref    []uint64
+	bounds []int
+	out    []uint64
+}
+
+// newMatchStream returns the stream of a point running the first n probes
+// of inst.
+func newMatchStream(inst structures.Instance, n uint64) *matchStream {
+	matches, _ := inst.Reference()
+	bounds := inst.MatchBounds()[:n]
+	return &matchStream{ref: matches[:boundAt(bounds, n)], bounds: bounds}
+}
+
+// boundAt is the reference-stream offset where probe i starts.
+func boundAt(bounds []int, i uint64) int {
+	if i == 0 {
+		return 0
+	}
+	return bounds[i-1]
 }
 
 // fastForward appends the reference matches of the span's probes.
 func (s *matchStream) fastForward(sp sampling.Span) {
-	if s.out == nil {
-		s.out = make([]uint64, 0, len(s.ref.matches))
+	if s == nil {
+		return
 	}
-	s.out = append(s.out, s.ref.segment(sp.Start, sp.End)...)
+	if s.out == nil {
+		s.out = make([]uint64, 0, len(s.ref))
+	}
+	s.out = append(s.out, s.ref[boundAt(s.bounds, sp.Start):boundAt(s.bounds, sp.End)]...)
 }
 
 // detailed appends a detailed span's simulated matches.
 func (s *matchStream) detailed(matches []uint64) {
+	if s == nil {
+		return
+	}
 	if s.out == nil {
 		s.out = matches
 		return
@@ -193,16 +193,15 @@ func (s *matchStream) detailed(matches []uint64) {
 }
 
 // verify enforces the bit-identical-output contract: the assembled stream
-// must fingerprint-match the full software reference. A stream without a
-// reference (a hash-join phase run in full detail) has nothing to check.
+// must fingerprint-match the software reference.
 func (s *matchStream) verify(what string) error {
-	if s.ref == nil {
+	if s == nil {
 		return nil
 	}
-	refFP := structures.Fingerprint(s.ref.matches)
+	refFP := structures.Fingerprint(s.ref)
 	if got := structures.Fingerprint(s.out); got != refFP {
 		return fmt.Errorf("sim: %s output diverged from the software reference (%d matches fp %#x, want %d fp %#x)",
-			what, len(s.out), got, len(s.ref.matches), refFP)
+			what, len(s.out), got, len(s.ref), refFP)
 	}
 	return nil
 }
@@ -247,11 +246,12 @@ func (c Config) runCore(ph *indexPhase, coreCfg cores.Config, plan sampling.Plan
 	if err != nil {
 		return cores.Result{}, nil, err
 	}
+	_, traces := ph.inst.Reference()
 	var agg cores.Result
 	wins := make([]windowSample, 0, plan.Windows)
 	var cursor uint64
 	detailed := func(sp sampling.Span) error {
-		res, err := core.RunProbes(ph.traces[sp.Start:sp.End], cursor)
+		res, err := core.RunProbes(traces[sp.Start:sp.End], cursor)
 		if err != nil {
 			return err
 		}
@@ -264,7 +264,7 @@ func (c Config) runCore(ph *indexPhase, coreCfg cores.Config, plan sampling.Plan
 		return nil
 	}
 	ff := func(sp sampling.Span) error {
-		return c.ffSpan(hier, ph.warmKey, ph.traces, sp)
+		return c.ffSpan(hier, ph.warmKey, traces, sp)
 	}
 	if c.SampleFullDetail {
 		// Reference mode: fast-forward spans execute in detail too (their
@@ -280,10 +280,10 @@ func (c Config) runCore(ph *indexPhase, coreCfg cores.Config, plan sampling.Plan
 // runWidxPoint executes the phase's probes on one Widx design point through
 // the plan. Fast-forward spans append the reference matches of their probes
 // to the output stream and warm the hierarchy; detailed spans offload the
-// span's key range at the current cursor. When the phase has a reference
-// the combined stream is verified against it before the result is returned.
+// span's key range at the current cursor. The combined stream is verified
+// against the reference before the result is returned.
 func (c Config) runWidxPoint(ph *indexPhase, as *vm.AddressSpace, resultBase uint64, p widxPoint, plan sampling.Plan) (*widx.OffloadResult, []windowSample, error) {
-	progs, err := ph.programs(resultBase)
+	progs, err := ph.inst.Programs(resultBase, ph.prog)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -294,13 +294,14 @@ func (c Config) runWidxPoint(ph *indexPhase, as *vm.AddressSpace, resultBase uin
 	if err != nil {
 		return nil, nil, err
 	}
+	_, traces := ph.inst.Reference()
 	agg := &widx.OffloadResult{Walkers: make([]widx.Breakdown, p.walkers)}
-	stream := matchStream{ref: ph.ref}
+	stream := newMatchStream(ph.inst, plan.Probes)
 	wins := make([]windowSample, 0, plan.Windows)
 	var cursor uint64
 	detailed := func(sp sampling.Span) error {
 		res, err := acc.Offload(widx.OffloadRequest{
-			KeyBase:    ph.probeKeyBase + sp.Start*8,
+			KeyBase:    ph.inst.ProbeKeyBase() + sp.Start*8,
 			KeyCount:   sp.Len(),
 			StartCycle: cursor,
 		})
@@ -318,7 +319,7 @@ func (c Config) runWidxPoint(ph *indexPhase, as *vm.AddressSpace, resultBase uin
 	}
 	ff := func(sp sampling.Span) error {
 		stream.fastForward(sp)
-		return c.ffSpan(hier, ph.warmKey, ph.traces, sp)
+		return c.ffSpan(hier, ph.warmKey, traces, sp)
 	}
 	if c.SampleFullDetail {
 		ff = detailed
@@ -326,7 +327,7 @@ func (c Config) runWidxPoint(ph *indexPhase, as *vm.AddressSpace, resultBase uin
 	if err := plan.Run(ff, detailed); err != nil {
 		return nil, nil, err
 	}
-	if err := stream.verify(ph.what); err != nil {
+	if err := stream.verify(ph.inst.Kind().String() + " walker"); err != nil {
 		return nil, nil, err
 	}
 	agg.Matches = stream.out

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"widx/internal/hashidx"
 	"widx/internal/join"
 	"widx/internal/structures"
 	"widx/internal/warmstate"
@@ -180,6 +181,48 @@ func TestUnsampledManifestUnchanged(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// wrongTableInstance is a probe workload whose Widx programs walk a table
+// other than the one its reference was computed from. Key column, traces
+// and reference are the wrapped Instance's, so only the fingerprint check
+// can tell that the walker's output is wrong.
+type wrongTableInstance struct {
+	structures.Instance
+	other structures.Instance
+}
+
+func (w wrongTableInstance) Programs(resultBase uint64, opt structures.ProgramOptions) (*structures.Programs, error) {
+	return w.other.Programs(resultBase, opt)
+}
+
+// TestFullDetailCatchesWrongWalker checks that a full-detail hash-join
+// phase verifies its Widx output: a walker over the wrong table must fail
+// the run with the divergence error rather than report timings.
+func TestFullDetailCatchesWrongWalker(t *testing.T) {
+	c := QuickConfig()
+	c.Parallelism = 1
+	ph, err := c.kernelPhase(join.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := []widxPoint{{walkers: 2}}
+	if _, _, _, err := c.runPhase(ph, nil, points); err != nil {
+		t.Fatalf("the kernel's own programs fail verification: %v", err)
+	}
+	keys := make([]uint64, 64)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	tbl, err := hashidx.Build(ph.as, hashidx.Config{Layout: hashidx.LayoutInline, Hash: hashidx.HashSimple, Name: "other"}, keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph.inst = wrongTableInstance{Instance: ph.inst, other: structures.FromHashIndex(tbl, ph.inst.ProbeKeyBase(), nil)}
+	_, _, _, err = c.runPhase(ph, nil, points)
+	if err == nil || !strings.Contains(err.Error(), "diverged from the software reference") {
+		t.Fatalf("a walker over the wrong table passed full-detail verification: %v", err)
 	}
 }
 

@@ -11,6 +11,13 @@
 // sampling, only a bounded sample of probes is simulated in detail; the
 // sample is large enough for stable per-tuple averages.
 //
+// Every probe workload — the hash-join kernel, a query engine's join, a
+// zoo structure, a CMP partition — is a structures.Instance, so one phase
+// shape carries the probe stream, the software reference and the Widx
+// program generator. Every Widx design point's match stream is
+// fingerprint-verified against that reference, in full detail and sampled
+// alike; a mismatch fails the run.
+//
 // Because the design points are independent experiments, the harness can run
 // them concurrently: Config.Parallelism sets the worker count, and the runner
 // (runner.go) gives every worker a private memory hierarchy and a private
@@ -24,9 +31,7 @@ import (
 	"fmt"
 	"runtime"
 
-	"widx/internal/hashidx"
 	"widx/internal/mem"
-	"widx/internal/program"
 	"widx/internal/sampling"
 	"widx/internal/structures"
 	"widx/internal/vm"
@@ -303,62 +308,16 @@ func scaleBreakdown(total widx.Breakdown, walkers int, tuples uint64) Breakdown 
 	}
 }
 
-// indexPhase bundles everything needed to run one indexing phase on all
-// design points: the data in its address space, the probe key column and
-// the probe traces, how its Widx points get their programs and result
-// regions, and the software reference's match stream.
+// indexPhase is one indexing phase ready to run on every design point: the
+// probe workload as a structures.Instance (probe-key column, traces,
+// reference match stream, program generator), the address space holding
+// its image, and the program variant Widx points run.
 type indexPhase struct {
-	as           *vm.AddressSpace
-	probeKeyBase uint64
-	probeCount   int
-	traces       []hashidx.ProbeTrace
+	as   *vm.AddressSpace
+	inst structures.Instance
+	prog structures.ProgramOptions
 	// warmKey is the phase's warm-cache identity ("" when caching is off):
 	// the workload artifact's content-addressed key, which sampled runs
 	// chain their fast-forward checkpoint keys on (sampled.go).
 	warmKey string
-	// what names the phase's Widx output in verification errors.
-	what string
-	// programs generates a Widx point's program bundle, storing matches
-	// into the result region at resultBase.
-	programs func(resultBase uint64) (*structures.Programs, error)
-	// resultName and resultBytes lay out one Widx point's result region.
-	resultName  func(p widxPoint) string
-	resultBytes uint64
-	// ref is the software reference every Widx point's output is verified
-	// against. Structure phases carry it from their build; hash-join phases
-	// leave it nil and runPhase derives it from index when the plan
-	// fast-forwards.
-	ref   *matchRef
-	index *hashidx.Table
-}
-
-// hashJoinPhase builds the phase of a hash-join index: Widx points run the
-// generated program bundle for the table, one result region per point.
-func hashJoinPhase(as *vm.AddressSpace, index *hashidx.Table, probeKeyBase uint64, probeCount int, traces []hashidx.ProbeTrace, warmKey string) *indexPhase {
-	return &indexPhase{
-		as:           as,
-		probeKeyBase: probeKeyBase,
-		probeCount:   probeCount,
-		traces:       traces,
-		warmKey:      warmKey,
-		what:         "widx",
-		programs: func(resultBase uint64) (*structures.Programs, error) {
-			return hashJoinPrograms(index, resultBase)
-		},
-		resultName: func(p widxPoint) string {
-			return fmt.Sprintf("results.w%d.m%d", p.walkers, p.mode)
-		},
-		resultBytes: uint64(probeCount)*8 + 64,
-		index:       index,
-	}
-}
-
-// hashJoinPrograms generates the Widx program bundle for a built hash
-// index storing into the result region at resultBase.
-func hashJoinPrograms(index *hashidx.Table, resultBase uint64) (*structures.Programs, error) {
-	bundle, err := program.ForTable(index, resultBase)
-	if err != nil {
-		return nil, err
-	}
-	return &structures.Programs{Dispatcher: bundle.Dispatcher, Walker: bundle.Walker, Producer: bundle.Producer}, nil
 }

@@ -3,11 +3,12 @@
 // yet the historical runners rebuilt the workload image and re-warmed the
 // hierarchy for every grid point. This file threads Config.WarmCache
 // through the experiment entry points: the expensive phase-independent
-// artifacts — built kernels and engine runs (address-space images, hash
-// tables, probe traces) and warmed cache/TLB content — are memoized under
-// content-addressed keys (internal/warmstate) and handed out as private
-// copy-on-write clones or geometry-checked snapshot restores, so a
-// warm-invariant sweep pays for each distinct build and warm-up once.
+// artifacts — built kernel, engine, zoo and CMP workloads (address-space
+// images with their structures.Instance) and warmed cache/TLB content —
+// are memoized under content-addressed keys (internal/warmstate) and
+// handed out as private copy-on-write clones or geometry-checked snapshot
+// restores, so a warm-invariant sweep pays for each distinct build and
+// warm-up once.
 //
 // Correctness contract: with the cache enabled, every experiment produces
 // byte-identical reports to a cache-off run at any parallelism. Three
@@ -32,7 +33,6 @@ import (
 	"sync"
 
 	"widx/internal/engine"
-	"widx/internal/hashidx"
 	"widx/internal/join"
 	"widx/internal/mem"
 	"widx/internal/structures"
@@ -93,139 +93,106 @@ func (c Config) warmStateCached(key string, build func() (*mem.WarmState, error)
 	return warmstate.Get(c.WarmCache, key, load, (*mem.WarmState).ContentHash)
 }
 
-// kernelArtifact is one memoized hash-join kernel build: the master
-// address-space image (never written after build), the index, and the
-// probe traces, generated once inside the build so consumers never read
-// the master concurrently.
-type kernelArtifact struct {
-	mu     sync.Mutex
-	kernel *join.Kernel
-	traces []hashidx.ProbeTrace
+// masterImage is a memoized master address-space image, never written
+// after build. Consumers receive copy-on-write clones, taken under the lock
+// because vm.AddressSpace.Clone mutates the parent's sharing bookkeeping.
+type masterImage struct {
+	mu sync.Mutex
+	as *vm.AddressSpace
 }
 
-// phase hands out one consumer's view of the artifact: an indexPhase on
-// the given image — the master itself for an uncached build, otherwise a
-// private copy-on-write clone of it.
-func (a *kernelArtifact) phase(as *vm.AddressSpace, warmKey string) *indexPhase {
-	k := a.kernel
-	return hashJoinPhase(as, k.Index, k.ProbeKeyBase, len(k.ProbeKeys), a.traces, warmKey)
+// clone returns a private copy-on-write clone of the image.
+func (m *masterImage) clone() *vm.AddressSpace {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.as.Clone()
+}
+
+// workloadArtifact is one memoized probe workload: the master image and the
+// Instance describing its probe stream, built together inside the build
+// closure so no consumer reads the master while another clones it. Engine
+// builds also keep the engine result for its operator measurements.
+type workloadArtifact struct {
+	masterImage
+	inst structures.Instance
+	eng  *engine.Result
+}
+
+// workload builds a probe workload, or fetches it from the warm cache under
+// the fingerprint's key, and returns it with that key ("" when caching is
+// off). The fingerprint must name every input the build consumes.
+func (c Config) workload(f *warmstate.Fingerprint, build func() (*workloadArtifact, error)) (*workloadArtifact, string, error) {
+	if c.WarmCache == nil {
+		art, err := build()
+		return art, "", err
+	}
+	key := warmKey(f)
+	art, err := warmstate.Get(c.WarmCache, key, build,
+		func(a *workloadArtifact) uint64 { return a.as.ContentHash() })
+	return art, key, err
+}
+
+// phase hands out one consumer's indexPhase on the artifact fetched under
+// key: on a private clone of the image, or on the master itself for an
+// uncached build (key == ""), which no other consumer shares.
+func (a *workloadArtifact) phase(key string, prog structures.ProgramOptions) *indexPhase {
+	as := a.as
+	if key != "" {
+		as = a.clone()
+	}
+	return &indexPhase{as: as, inst: a.inst, prog: prog, warmKey: key}
 }
 
 // kernelPhase builds (or fetches from the warm cache) the kernel workload
 // for one size class. The key names every input BuildKernel consumes; the
 // probe-sample knob enters through the derived OuterTuples stream length,
-// so two configs that produce the same stream share the build. Cache off
-// reproduces the historical inline path exactly, master image included.
+// so two configs that produce the same stream share the build.
 func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 	kcfg := join.DefaultKernelConfig(size, c.Scale)
 	// The probe stream only needs to cover the detailed sample.
 	kcfg.OuterTuples = c.sampleCount(4 * size.Tuples(c.Scale))
-	build := func() (*kernelArtifact, error) {
-		kernel, err := join.BuildKernel(kcfg)
-		if err != nil {
-			return nil, err
-		}
-		return &kernelArtifact{
-			kernel: kernel,
-			traces: kernel.Traces(c.sampleCount(len(kernel.ProbeKeys))),
-		}, nil
-	}
-	if c.WarmCache == nil {
-		art, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return art.phase(art.kernel.AS, ""), nil
-	}
-	key := warmKey(warmstate.NewFingerprint("kernel").
+	art, key, err := c.workload(warmstate.NewFingerprint("kernel").
 		Field("size", kcfg.Size).
 		Field("scale", kcfg.Scale).
 		Field("outer", kcfg.OuterTuples).
 		Field("npb", kcfg.NodesPerBucket).
 		Field("hash", kcfg.Hash).
-		Field("seed", kcfg.Seed))
-	art, err := warmstate.Get(c.WarmCache, key, build,
-		func(a *kernelArtifact) uint64 { return a.kernel.AS.ContentHash() })
+		Field("seed", kcfg.Seed), func() (*workloadArtifact, error) {
+		k, err := join.BuildKernel(kcfg)
+		if err != nil {
+			return nil, err
+		}
+		inst := structures.FromHashIndex(k.Index, k.ProbeKeyBase, k.Traces(0))
+		return &workloadArtifact{masterImage: masterImage{as: k.AS}, inst: inst}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Clone under the artifact's lock: vm.AddressSpace.Clone mutates the
-	// parent's sharing bookkeeping.
-	art.mu.Lock()
-	as := art.kernel.AS.Clone()
-	art.mu.Unlock()
-	return art.phase(as, key), nil
+	return art.phase(key, structures.ProgramOptions{}), nil
 }
 
-// enginePhase is the index phase of an executed query: its hash join's
-// probe stream over the engine-built index.
-func enginePhase(res *engine.Result, warmKey string) *indexPhase {
-	return hashJoinPhase(res.AS, res.Index, res.ProbeKeyBase, res.ProbeCount, res.Traces, warmKey)
-}
-
-// engineArtifact is one memoized query-engine run: the full engine result
-// with its master address-space image.
-type engineArtifact struct {
-	mu  sync.Mutex
-	res *engine.Result
-}
-
-// result hands out the artifact. With cloneAS the returned result carries
-// a private copy-on-write clone of the image (for consumers that replay
-// the index phase and allocate result regions); without it the shared
-// result is returned directly and the caller must treat it — AS included —
-// as read-only.
-func (a *engineArtifact) result(cloneAS bool) *engine.Result {
-	if !cloneAS {
-		return a.res
-	}
-	a.mu.Lock()
-	as := a.res.AS.Clone()
-	a.mu.Unlock()
-	cp := *a.res
-	cp.AS = as
-	return &cp
-}
-
-// engineRun executes (or fetches from the warm cache) one query through
-// the engine. The key is the rendered PlanSpec — value-typed, fully
-// derived from the query spec and scale, and the complete input set of
-// engine.Run.
-func (c Config) engineRun(q workloads.QuerySpec, cloneAS bool) (*engine.Result, error) {
-	res, _, err := c.engineRunKeyed(q, cloneAS)
-	return res, err
-}
-
-// engineRunKeyed is engineRun returning the artifact's cache key alongside
-// the result ("" when caching is off), for phase-level warm-state
-// checkpoints to chain on.
-func (c Config) engineRunKeyed(q workloads.QuerySpec, cloneAS bool) (*engine.Result, string, error) {
+// engineWorkload executes (or fetches from the warm cache) one query
+// through the engine; the Instance covers the join's whole probe stream.
+// The key is the rendered PlanSpec — value-typed, fully derived from the
+// query spec and scale, and the complete input set of engine.Run.
+func (c Config) engineWorkload(q workloads.QuerySpec) (*workloadArtifact, string, error) {
 	spec := engine.FromWorkload(q, c.Scale)
-	if c.WarmCache == nil {
-		res, err := engine.Run(spec)
-		return res, "", err
-	}
-	key := warmKey(warmstate.NewFingerprint("engine").
-		Field("spec", fmt.Sprintf("%+v", spec)))
-	art, err := warmstate.Get(c.WarmCache, key, func() (*engineArtifact, error) {
+	return c.workload(warmstate.NewFingerprint("engine").
+		Field("spec", fmt.Sprintf("%+v", spec)), func() (*workloadArtifact, error) {
 		res, err := engine.Run(spec)
 		if err != nil {
 			return nil, err
 		}
-		return &engineArtifact{res: res}, nil
-	}, func(a *engineArtifact) uint64 { return a.res.AS.ContentHash() })
-	if err != nil {
-		return nil, "", err
-	}
-	return art.result(cloneAS), key, nil
+		inst := structures.FromHashIndex(res.Index, res.ProbeKeyBase, res.Traces)
+		return &workloadArtifact{masterImage: masterImage{as: res.AS}, inst: inst, eng: res}, nil
+	})
 }
 
 // cmpWorkloadArtifact is one memoized partitioned CMP workload: the
-// master image plus the per-agent partitions (tables, key columns,
-// program bundles, traces), all read-only after build.
+// master image plus the per-agent partitions (Instances and program
+// bundles), all read-only after build.
 type cmpWorkloadArtifact struct {
-	mu        sync.Mutex
-	as        *vm.AddressSpace
+	masterImage
 	workloads []cmpAgentWorkload
 }
 
@@ -261,15 +228,12 @@ func (c Config) cmpWorkload(size join.SizeClass, specs []CMPAgentSpec, structure
 		if err != nil {
 			return nil, err
 		}
-		return &cmpWorkloadArtifact{as: as, workloads: ws}, nil
+		return &cmpWorkloadArtifact{masterImage: masterImage{as: as}, workloads: ws}, nil
 	}, func(a *cmpWorkloadArtifact) uint64 { return a.as.ContentHash() })
 	if err != nil {
 		return nil, nil, "", err
 	}
-	art.mu.Lock()
-	clone := art.as.Clone()
-	art.mu.Unlock()
-	return clone, art.workloads, key, nil
+	return art.clone(), art.workloads, key, nil
 }
 
 // warmSpecField renders the warm-affecting slice of an agent spec: the

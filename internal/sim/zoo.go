@@ -11,7 +11,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"widx/internal/cores"
 	"widx/internal/sampling"
@@ -98,15 +97,7 @@ func (c Config) zooKeys() int {
 
 // zooBuildConfig derives the deterministic build for one structure.
 func (c Config) zooBuildConfig(k structures.Kind, span int) structures.BuildConfig {
-	keys := c.zooKeys()
-	if k == structures.BFS {
-		// Vertices; the mean degree of 8 keeps the edge footprint (and the
-		// match stream, one match per edge) comparable to the other builds.
-		keys /= 8
-		if keys < 128 {
-			keys = 128
-		}
-	}
+	keys := structureKeys(k, c.zooKeys())
 	return structures.BuildConfig{
 		Kind:   k,
 		Keys:   keys,
@@ -117,55 +108,39 @@ func (c Config) zooBuildConfig(k structures.Kind, span int) structures.BuildConf
 	}
 }
 
-// zooArtifact is one memoized structure build: the master address-space
-// image and the instance (which is immutable and clone-independent — its
-// addresses are identical in every copy-on-write clone of the master).
-type zooArtifact struct {
-	mu   sync.Mutex
-	as   *vm.AddressSpace
-	inst structures.Instance
+// structureKeys sizes a structure's resident element count from a key
+// budget: BFS counts vertices, and its mean degree of 8 keeps the edge
+// footprint (and the match stream, one match per edge) comparable to the
+// other structures' builds.
+func structureKeys(k structures.Kind, keys int) int {
+	if k != structures.BFS {
+		return keys
+	}
+	return max(keys/8, 128)
 }
 
-// zooPhase builds (or fetches from the warm cache) one structure workload
-// and returns a private copy-on-write clone of its image plus the shared
-// instance. The key names every build input; program options are absent
+// zooPhase builds (or fetches from the warm cache) one structure workload.
+// The key names every build input; program options are absent
 // deliberately — they change the generated code, never the image or the
 // reference.
-// The cache key ("" when caching is off) is also returned, for phase-level
-// warm-state checkpoints to chain on.
-func (c Config) zooPhase(cfg structures.BuildConfig) (*vm.AddressSpace, structures.Instance, string, error) {
-	build := func() (*zooArtifact, error) {
+func (c Config) zooPhase(cfg structures.BuildConfig, prog structures.ProgramOptions) (*indexPhase, error) {
+	art, key, err := c.workload(warmstate.NewFingerprint("zoo").
+		Field("structure", cfg.Kind).
+		Field("keys", cfg.Keys).
+		Field("probes", cfg.Probes).
+		Field("span", cfg.Span).
+		Field("seed", cfg.Seed), func() (*workloadArtifact, error) {
 		as := vm.New()
 		inst, err := structures.Build(as, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return &zooArtifact{as: as, inst: inst}, nil
-	}
-	if c.WarmCache == nil {
-		art, err := build()
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return art.as, art.inst, "", nil
-	}
-	key := warmKey(warmstate.NewFingerprint("zoo").
-		Field("structure", cfg.Kind).
-		Field("keys", cfg.Keys).
-		Field("probes", cfg.Probes).
-		Field("span", cfg.Span).
-		Field("seed", cfg.Seed))
-	art, err := warmstate.Get(c.WarmCache, key, build,
-		func(a *zooArtifact) uint64 { return a.as.ContentHash() })
+		return &workloadArtifact{masterImage: masterImage{as: as}, inst: inst}, nil
+	})
 	if err != nil {
-		return nil, nil, "", err
+		return nil, err
 	}
-	// Clone under the artifact's lock: vm.AddressSpace.Clone mutates the
-	// parent's sharing bookkeeping.
-	art.mu.Lock()
-	as := art.as.Clone()
-	art.mu.Unlock()
-	return as, art.inst, key, nil
+	return art.phase(key, prog), nil
 }
 
 // RunZoo runs the cross-structure study. Structures fan out across workers
@@ -185,27 +160,12 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 	perKindSampling := make([]*sampling.Report, len(kinds))
 	inner := c.InnerConfig(len(kinds))
 	if err := c.RunTasks(len(kinds), func(i int) error {
-		as, inst, phaseKey, err := c.zooPhase(c.zooBuildConfig(kinds[i], opt.Span))
+		ph, err := c.zooPhase(c.zooBuildConfig(kinds[i], opt.Span), opt.Prog)
 		if err != nil {
 			return err
 		}
-		refMatches, traces := inst.Reference()
-		ph := &indexPhase{
-			as:           as,
-			probeKeyBase: inst.ProbeKeyBase(),
-			probeCount:   inst.ProbeCount(),
-			traces:       traces,
-			warmKey:      phaseKey,
-			what:         fmt.Sprintf("%s walker", kinds[i]),
-			programs: func(resultBase uint64) (*structures.Programs, error) {
-				return inst.Programs(resultBase, opt.Prog)
-			},
-			resultName: func(p widxPoint) string {
-				return fmt.Sprintf("zoo.results.w%d", p.walkers)
-			},
-			resultBytes: uint64(len(refMatches))*8 + 64,
-			ref:         &matchRef{matches: refMatches, bounds: inst.MatchBounds()},
-		}
+		inst := ph.inst
+		refMatches, _ := inst.Reference()
 		baseRes, widxRes, ps, err := inner.runPhase(ph,
 			[]cores.Config{oooConfig()}, c.walkerPoints(widx.SharedDispatcher))
 		if err != nil {

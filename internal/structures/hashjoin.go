@@ -1,14 +1,17 @@
-// The hash join: the zoo's calibration point. It wraps internal/hashidx's
-// inline-layout bucket-chain index behind the structures.Instance interface,
-// so the zoo's cross-structure sweeps include the workload every existing
-// study measures, built and probed through exactly the same code paths as
-// the new structures. The generated non-touching programs are the canonical
-// internal/program bundle; the touching variant reorders the walker to load
-// each node's next pointer first and TOUCH it before comparing the current
-// node's key.
+// The hash join: the zoo's calibration point. FromHashIndex wraps any
+// internal/hashidx bucket-chain index and its probe stream behind the
+// structures.Instance interface, so every hash-join workload — the kernel,
+// the query engine's indirect-layout index, the CMP partitions and the
+// zoo's own inline build — is probed through exactly the same code paths as
+// the other structures. The generated non-touching programs are the
+// canonical internal/program bundle; the touching variant (inline layout
+// only) reorders the walker to load each node's next pointer first and
+// TOUCH it before comparing the current node's key.
 package structures
 
 import (
+	"fmt"
+
 	"widx/internal/hashidx"
 	"widx/internal/isa"
 	"widx/internal/program"
@@ -20,13 +23,44 @@ const hashjoinPayloadTag = uint64(0x8A) << 40
 
 func hashjoinPayload(key uint64) uint64 { return key ^ hashjoinPayloadTag }
 
-// hashjoinInstance is the built hash-join workload.
+// hashjoinInstance is a hash index with its probe stream.
 type hashjoinInstance struct {
 	baseInstance
 	table *hashidx.Table
 }
 
-func buildHashJoin(as *vm.AddressSpace, cfg BuildConfig) (*hashjoinInstance, error) {
+// FromHashIndex adapts a built hash index of either layout and a probe
+// stream over it into an Instance. The probe keys sit in an 8-byte-stride
+// column at probeBase and traces[i] is probe i's software trace. The
+// reference match stream is tbl.ProbeMatches of every probe key, computed
+// here from the table's image, so callers that later clone that image must
+// call FromHashIndex first.
+func FromHashIndex(tbl *hashidx.Table, probeBase uint64, traces []hashidx.ProbeTrace) Instance {
+	inst := &hashjoinInstance{table: tbl}
+	inst.kind = HashJoin
+	inst.probeBase = probeBase
+	inst.probes = len(traces)
+	inst.regions = tbl.Regions()
+	inst.geom = Geometry{
+		NodeBytes:      int(tbl.NodeSize()),
+		Fanout:         1,
+		Levels:         tbl.MaxChain(),
+		FootprintBytes: tbl.FootprintBytes(),
+		Locality:       "hashed bucket headers, short collision chains",
+	}
+	inst.traces = traces
+	// Hash-join workloads probe unique build keys, so one match per probe
+	// is the usual stream length.
+	inst.matches = make([]uint64, 0, len(traces))
+	inst.bounds = make([]int, len(traces))
+	for i := range traces {
+		inst.matches = append(inst.matches, tbl.ProbeMatches(traces[i].Key)...)
+		inst.bounds[i] = len(inst.matches)
+	}
+	return inst
+}
+
+func buildHashJoin(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	ks := genKeySet(rng, cfg.Keys)
 	payloads := make([]uint64, len(ks.keys))
@@ -50,29 +84,11 @@ func buildHashJoin(as *vm.AddressSpace, cfg BuildConfig) (*hashjoinInstance, err
 	}
 	probes := ks.probeStream(rng, cfg.Probes)
 	probeBase := writeColumn(as, cfg.Name+".probes", probes)
-
-	inst := &hashjoinInstance{table: tbl}
-	inst.kind = HashJoin
-	inst.probeBase = probeBase
-	inst.probes = len(probes)
-	inst.regions = tbl.Regions()
-	inst.geom = Geometry{
-		NodeBytes:      hashidx.InlineNodeSize,
-		Fanout:         1,
-		Levels:         tbl.MaxChain(),
-		FootprintBytes: tbl.FootprintBytes(),
-		Locality:       "hashed bucket headers, short collision chains",
-	}
+	traces := make([]hashidx.ProbeTrace, len(probes))
 	for i, p := range probes {
-		res := tbl.ProbeFrom(p, probeBase+uint64(i)*8)
-		// Keys are unique, so a hit is exactly one matching node.
-		if res.Found {
-			inst.matches = append(inst.matches, res.Payload)
-		}
-		inst.traces = append(inst.traces, res.Trace)
-		inst.closeProbe()
+		traces[i] = tbl.ProbeFrom(p, probeBase+uint64(i)*8).Trace
 	}
-	return inst, nil
+	return FromHashIndex(tbl, probeBase, traces), nil
 }
 
 // touchWalker is the inline-layout walker reordered for MLP: each
@@ -105,6 +121,9 @@ done:
 `)
 }
 
+// Programs generates the canonical internal/program bundle for the table.
+// The touching walker hard-codes the inline node offsets, so it is refused
+// for any other layout.
 func (h *hashjoinInstance) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
 	spec := program.SpecForTable(h.table, resultBase)
 	d, err := program.Dispatcher(spec)
@@ -112,12 +131,16 @@ func (h *hashjoinInstance) Programs(resultBase uint64, opt ProgramOptions) (*Pro
 		return nil, err
 	}
 	var w *isa.Program
-	if opt.TouchWalker {
+	switch {
+	case !opt.TouchWalker:
+		w, err = program.Walker(spec)
+	case spec.Layout == hashidx.LayoutInline:
 		w = touchWalker()
-	} else {
-		if w, err = program.Walker(spec); err != nil {
-			return nil, err
-		}
+	default:
+		err = fmt.Errorf("structures: the touching walker needs the inline layout, not %s", spec.Layout)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return finishPrograms(d, w, resultBase, opt)
 }

@@ -218,9 +218,10 @@ type Programs struct {
 	Producer   *isa.Program
 }
 
-// Instance is one built structure, immutable after Build: the probe stream
-// it emits, the software reference results, and the program generator. All
-// methods are safe for concurrent use.
+// Instance is one built structure, immutable after Build (or FromHashIndex
+// for a hash index built elsewhere): the probe stream it emits, the
+// software reference results, and the program generator. All methods are
+// safe for concurrent use.
 type Instance interface {
 	// Kind returns the structure kind.
 	Kind() Kind
@@ -391,26 +392,6 @@ func writeColumn(as *vm.AddressSpace, name string, vals []uint64) uint64 {
 	return base
 }
 
-// producerProgram is the canonical output producer (store the match, advance
-// the persistent r20 cursor), shared by every structure.
-func producerProgram(resultBase uint64) (*isa.Program, error) {
-	p := &isa.Program{
-		Name:      "produce",
-		Kind:      isa.Producer,
-		InputRegs: []isa.Reg{program.RegMatch},
-		ConstRegs: map[isa.Reg]uint64{program.RegCursor: resultBase},
-		Code: []isa.Instruction{
-			{Op: isa.ST, SrcA: program.RegCursor, SrcB: program.RegMatch},
-			{Op: isa.ADD, Dst: program.RegCursor, SrcA: program.RegCursor, UseImm: true, Imm: 8},
-			{Op: isa.HALT},
-		},
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // constTargetDispatcher loads the probe key and emits a fixed traversal
 // entry point (skip-list head, tree root, memtable head) — the dispatcher
 // of every structure whose walk starts at one address.
@@ -456,7 +437,7 @@ func finishPrograms(d, w *isa.Program, resultBase uint64, opt ProgramOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	pr, err := producerProgram(resultBase)
+	pr, err := program.ResultProducer(resultBase)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package structures
 import (
 	"testing"
 
+	"widx/internal/hashidx"
 	"widx/internal/mem"
+	"widx/internal/stats"
 	"widx/internal/vm"
 	"widx/internal/widx"
 )
@@ -242,5 +244,43 @@ func TestMatchBoundsPartitionTheStream(t *testing.T) {
 				t.Fatalf("bounds end at %d, stream has %d matches", prev, len(matches))
 			}
 		})
+	}
+}
+
+// TestFromHashIndexIndirectLayout runs the adapter on the query engine's
+// indirect layout: the generated bundle must reproduce the reference match
+// stream bit for bit, and the touching walker, which hard-codes the inline
+// node offsets, must be refused.
+func TestFromHashIndexIndirectLayout(t *testing.T) {
+	as := vm.New()
+	rng := stats.NewRNG(31)
+	ks := genKeySet(rng, 500)
+	tbl, err := hashidx.Build(as, hashidx.Config{
+		Layout: hashidx.LayoutIndirect,
+		Hash:   hashidx.HashRobust,
+		Name:   "indirect",
+	}, ks.keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := ks.probeStream(rng, 300)
+	probeBase := writeColumn(as, "indirect.probes", probes)
+	traces := make([]hashidx.ProbeTrace, len(probes))
+	for i, p := range probes {
+		traces[i] = tbl.ProbeFrom(p, probeBase+uint64(i)*8).Trace
+	}
+	inst := FromHashIndex(tbl, probeBase, traces)
+	want, _ := inst.Reference()
+	if len(want) == 0 || len(inst.MatchBounds()) != len(probes) {
+		t.Fatalf("reference has %d matches and %d bounds for %d probes", len(want), len(inst.MatchBounds()), len(probes))
+	}
+	if g := inst.Geometry(); g.NodeBytes != hashidx.IndirectNodeSize {
+		t.Fatalf("indirect geometry reports %d-byte nodes", g.NodeBytes)
+	}
+	resultBase := as.AllocAligned("indirect.results", uint64(len(want))*8+64)
+	res := runWidx(t, inst, as, resultBase, ProgramOptions{})
+	checkMatches(t, HashJoin, res.Matches, want)
+	if _, err := inst.Programs(resultBase, ProgramOptions{TouchWalker: true}); err == nil {
+		t.Fatal("touching walker accepted for the indirect layout")
 	}
 }
