@@ -119,16 +119,25 @@ func (d *stateDecoder) count(perItem int) int {
 	return int(n)
 }
 
+// cacheEntryBytes is one encoded cache entry: a valid byte, tag and LRU.
+const cacheEntryBytes = 1 + 8 + 8
+
 func (d *stateDecoder) cache() *CacheState {
-	st := &CacheState{
-		sets:      d.count(1),
-		ways:      int(d.word()),
-		blockBits: uint(d.word()),
-		clock:     d.word(),
-	}
+	st := &CacheState{sets: d.count(1)}
+	ways := d.word()
+	st.blockBits = uint(d.word())
+	st.clock = d.word()
 	if d.err != nil {
 		return st
 	}
+	// Bound sets·ways by the entries the payload can still hold, without
+	// forming a product that could overflow.
+	left := uint64(len(d.buf) / cacheEntryBytes)
+	if ways > left || (ways > 0 && uint64(st.sets) > left/ways) {
+		d.err = fmt.Errorf("mem: warm-state cache declares %d sets of %d ways with %d bytes left", st.sets, ways, len(d.buf))
+		return st
+	}
+	st.ways = int(ways)
 	n := st.sets * st.ways
 	st.tags = make([]uint64, n)
 	st.valid = make([]bool, n)

@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
 	"testing"
 )
 
@@ -212,15 +214,54 @@ func TestWarmStateCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded snapshot diverges from the original:\n%s\nvs\n%s", a, b)
 	}
 
+	// cacheHeader is a payload that ends after the LLC section's header:
+	// one set of the given way count and no entries.
+	cacheHeader := func(ways uint64) []byte {
+		b := []byte(warmStateMagic)
+		for _, w := range []uint64{warmStateVersion, 1, ways, 6, 0} {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
 	for name, payload := range map[string][]byte{
 		"empty":       nil,
 		"bad magic":   []byte("notawarms" + string(data[9:])),
 		"truncated":   data[:len(data)/2],
 		"trailing":    append(append([]byte(nil), data...), 0),
 		"bad version": append(append([]byte(nil), data[:8]...), 0xff, 0, 0, 0, 0, 0, 0, 0),
+		"huge ways":   cacheHeader(1 << 36),
+		"ways 2^63":   cacheHeader(1 << 63),
 	} {
 		if _, err := DecodeWarmState(payload); err == nil {
 			t.Errorf("%s payload decoded without error", name)
 		}
 	}
+}
+
+// FuzzDecodeWarmState feeds arbitrary payloads to the warm-state decoder,
+// which reads snapshots back from disk stores: it must never panic, and a
+// payload it accepts must re-encode to one that decodes to the same
+// content.
+func FuzzDecodeWarmState(f *testing.F) {
+	v1, err := os.ReadFile("testdata/warmstate_v1.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	sl, agents := hetLevel()
+	warmHet(agents)
+	f.Add(sl.CaptureWarmState().EncodeBinary())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ws, err := DecodeWarmState(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeWarmState(ws.EncodeBinary())
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		if got, want := again.ContentHash(), ws.ContentHash(); got != want {
+			t.Fatalf("re-decoded snapshot hashes %#x, want %#x", got, want)
+		}
+	})
 }

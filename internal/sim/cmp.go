@@ -28,7 +28,6 @@ import (
 	"widx/internal/sampling"
 	"widx/internal/stats"
 	"widx/internal/structures"
-	"widx/internal/system"
 	"widx/internal/vm"
 	"widx/internal/widx"
 )
@@ -250,15 +249,6 @@ func (e *CMPExperiment) SampledMetricValues() map[string]float64 {
 	return m
 }
 
-// cmpRunner couples one agent's schedulable engine with its finisher.
-// matches returns a Widx agent's emitted match stream once finish has run;
-// it is nil for host cores (trace replay emits no matches).
-type cmpRunner struct {
-	agent   system.Agent
-	finish  func() (cycles uint64, stats mem.Stats, err error)
-	matches func() []uint64
-}
-
 // cmpAgentWorkload is one agent's private partition of the CMP workload:
 // its probe workload as a structures.Instance (resident regions for LLC
 // warming, probe-key column, traces, reference match stream) and — for
@@ -355,17 +345,6 @@ func buildCMPHashJoin(as *vm.AddressSpace, name string, buildN, probes int, seed
 	return structures.FromHashIndex(tbl, keyBase, traces), nil
 }
 
-// warmPartition installs the agent's partition into the shared LLC (and its
-// pages into the agent's private TLB) — the warmed-checkpoint steady state
-// the paper measures from. Solo, one partition fits the LLC it has to
-// itself, so warming order is immaterial.
-func warmPartition(hier *mem.Hierarchy, w *cmpAgentWorkload) {
-	cur := newBlockCursor(hier, w)
-	for addr, ok := cur.next(); ok; addr, ok = cur.next() {
-		hier.WarmLLCOnly(addr)
-	}
-}
-
 // blockCursor streams the block-aligned addresses of one agent's partition
 // in region order, so warming needs O(1) state per agent instead of a
 // materialized address list (full-scale partitions run to millions of
@@ -408,7 +387,8 @@ func (c *blockCursor) next() (uint64, bool) {
 // start-state asymmetry the co-run then measures as contention that depends
 // on the agent index, not the contention itself. Interleaving spreads the
 // capacity pressure evenly, so identical agents start from identical
-// (statistically) warm states.
+// (statistically) warm states. Over a one-partition slice it installs that
+// partition whole, in region order.
 func warmPartitionsInterleaved(hiers []*mem.Hierarchy, ws []cmpAgentWorkload) {
 	cursors := make([]*blockCursor, len(ws))
 	for i := range ws {
@@ -443,134 +423,27 @@ func (c Config) cmpAgentSpec(top mem.Topology, name string, spec CMPAgentSpec) m
 	return as
 }
 
-// newCMPRunner wires one agent spec onto a hierarchy view for the span's
-// probes: a Widx offload over that stretch of its key column, or a core
-// replay of those traces, beginning at startCycle (the arrival stagger of
-// the co-run; solo runs pass 0).
-func newCMPRunner(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload, sp sampling.Span, queueDepth int, startCycle uint64) (*cmpRunner, error) {
+// newCMPSeat seats one agent on hier: a Widx accelerator running its
+// partition's programs, or a host core replaying its partition's traces.
+// Its warm key stays empty, so fast-forward spans warm inline: ffSpan's
+// checkpoint is captured on a cold single-agent level and restores a whole
+// shared level, while a cmp hierarchy starts from its warmed partition and,
+// co-running, shares its level.
+func (c Config) newCMPSeat(name string, hier *mem.Hierarchy, as *vm.AddressSpace, spec CMPAgentSpec, w *cmpAgentWorkload, plan sampling.Plan) (*seat, error) {
 	switch spec.Kind {
 	case AgentWidx:
 		walkers := spec.Walkers
 		if walkers == 0 {
 			walkers = 4
 		}
-		acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: queueDepth},
-			hier, as, w.progs.Dispatcher, w.progs.Walker, w.progs.Producer)
-		if err != nil {
-			return nil, err
-		}
-		o, err := acc.StartOffload(widx.OffloadRequest{KeyBase: w.inst.ProbeKeyBase() + sp.Start*8, KeyCount: sp.Len(), StartCycle: startCycle})
-		if err != nil {
-			return nil, err
-		}
-		var res *widx.OffloadResult
-		return &cmpRunner{
-			agent: o,
-			finish: func() (uint64, mem.Stats, error) {
-				r, err := o.Result()
-				if err != nil {
-					return 0, mem.Stats{}, err
-				}
-				res = r
-				return r.TotalCycles, r.MemStats, nil
-			},
-			matches: func() []uint64 {
-				if res == nil {
-					return nil
-				}
-				return res.Matches
-			},
-		}, nil
-
-	case AgentOoO, AgentInOrder:
-		cfg := cores.OoOConfig()
-		if spec.Kind == AgentInOrder {
-			cfg = cores.InOrderConfig()
-		}
-		core, err := cores.New(cfg, hier)
-		if err != nil {
-			return nil, err
-		}
-		_, traces := w.inst.Reference()
-		e, err := core.NewProbeEngine(traces[sp.Start:sp.End], startCycle)
-		if err != nil {
-			return nil, err
-		}
-		return &cmpRunner{agent: e, finish: func() (uint64, mem.Stats, error) {
-			res, err := e.Result()
-			if err != nil {
-				return 0, mem.Stats{}, err
-			}
-			return res.TotalCycles, res.MemStats, nil
-		}}, nil
-
+		return newWidxSeat(name, hier, as, w.inst, w.progs, widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth()}, plan)
+	case AgentOoO:
+		return newCoreSeat(hier, w.inst, cores.OoOConfig())
+	case AgentInOrder:
+		return newCoreSeat(hier, w.inst, cores.InOrderConfig())
 	default:
 		return nil, fmt.Errorf("sim: unknown agent kind %v", spec.Kind)
 	}
-}
-
-// output returns the assembler of the agent's match stream over the plan's
-// probes: a Widx agent's is checked against its partition's reference;
-// host cores emit no matches, so theirs is nil.
-func (w *cmpAgentWorkload) output(plan sampling.Plan) *matchStream {
-	if w.progs == nil {
-		return nil
-	}
-	return newMatchStream(w.inst, plan.Probes)
-}
-
-// runCMPSolo executes one agent's stream alone through the plan on its
-// already partition-warmed hierarchy: fast-forward spans warm from the
-// reference traces (a Widx agent's reference matches join its output
-// stream), detailed spans run a span-sized engine resuming at the cycle the
-// previous span ended. The returned cycle and memory aggregates cover the
-// measured spans only; Widx output is fingerprint-verified against the full
-// reference before returning.
-func (c Config) runCMPSolo(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload, plan sampling.Plan) (uint64, mem.Stats, []windowSample, error) {
-	var cycles, cursor uint64
-	var memStats mem.Stats
-	var wins []windowSample
-	_, traces := w.inst.Reference()
-	stream := w.output(plan)
-	detailed := func(sp sampling.Span) error {
-		run, err := newCMPRunner(hier, spec, as, w, sp, c.queueDepth(), cursor)
-		if err != nil {
-			return err
-		}
-		if err := system.Run(run.agent); err != nil {
-			return err
-		}
-		cyc, st, err := run.finish()
-		if err != nil {
-			return err
-		}
-		cursor += cyc
-		if run.matches != nil {
-			stream.detailed(run.matches())
-		}
-		if sp.Kind != sampling.Measure {
-			return nil
-		}
-		cycles += cyc
-		memStats = memStats.Add(st)
-		wins = append(wins, windowSample{cycles: cyc, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
-		return nil
-	}
-	ff := func(sp sampling.Span) error {
-		stream.fastForward(sp)
-		ffWarm(hier, traces[sp.Start:sp.End])
-		return nil
-	}
-	if c.SampleFullDetail {
-		ff = detailed
-	}
-	if err := plan.Run(ff, detailed); err != nil {
-		return 0, mem.Stats{}, nil, err
-	}
-	if err := stream.verify(w.name + " solo"); err != nil {
-		return 0, mem.Stats{}, nil, err
-	}
-	return cycles, memStats, wins, nil
 }
 
 // RunCMP co-schedules one index-probe stream per agent on a single shared
@@ -595,7 +468,10 @@ func (c Config) RunCMPStructure(size join.SizeClass, specs []CMPAgentSpec, struc
 // runCMP is RunCMP with the warming policy explicit: interleavedWarm selects
 // round-robin block-interleaved warming (the production policy); false warms
 // whole partitions in agent order, kept only so tests can quantify the
-// start-state asymmetry the interleaved policy removes.
+// start-state asymmetry the interleaved policy removes. Both halves of the
+// experiment are runPlan calls over one plan: agent i's solo reference
+// runs its one seat, and the co-run runs every agent's seat with arrivals
+// staggered by c.Stagger.
 func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure structures.Kind, interleavedWarm bool) (*CMPExperiment, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -625,26 +501,32 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	// plan drives all of them and the co-run's rounds stay aligned. Without
 	// sampling it is the one-window full plan: one detailed round.
 	plan := c.samplePlan(workloads[0].inst.ProbeCount())
-	soloWins := make([][]windowSample, k)
-	coWins := make([][]windowSample, k)
+	attach := func(sl *mem.SharedLevel, i int) *mem.Hierarchy {
+		return sl.NewAgent(c.cmpAgentSpec(sl.Topology(), workloads[i].name, specs[i]))
+	}
 
-	// Solo reference runs: each agent alone on a fresh, uncontended
-	// hierarchy with its own partition warmed and the same private spec
-	// (MSHRs, way partition) it will co-run with, so the slowdown isolates
-	// contention from the agent's own provisioning. Runs are sequential —
-	// agents share the workload's address space (Widx producers store into
-	// it), and the runs are seconds-scale.
+	// Solo reference runs: each agent alone — a one-seat run — on a fresh,
+	// uncontended hierarchy with its own partition warmed and the same
+	// private spec (MSHRs, way partition) it will co-run with, so the
+	// slowdown isolates contention from the agent's own provisioning. Runs
+	// are sequential — agents share the workload's address space (Widx
+	// producers store into it), and the runs are seconds-scale.
+	soloWins := make([][]windowSample, k)
 	for i, spec := range specs {
 		sl := c.newSharedLevel()
-		hier := sl.NewAgent(c.cmpAgentSpec(sl.Topology(), workloads[i].name, spec))
-		if err := c.warmCMPSolo(hier, workloadKey, &workloads[i], i); err != nil {
+		hier := attach(sl, i)
+		if err := c.warmCMP(sl, []*mem.Hierarchy{hier}, workloadKey, workloads[i:i+1], true); err != nil {
 			return nil, err
 		}
-		cycles, memStats, wins, err := c.runCMPSolo(hier, spec, as, &workloads[i], plan)
+		s, err := c.newCMPSeat(workloads[i].name+" solo", hier, as, spec, &workloads[i], plan)
 		if err != nil {
 			return nil, err
 		}
-		soloWins[i] = wins
+		if _, err := c.runPlan([]*seat{s}, plan, 0); err != nil {
+			return nil, err
+		}
+		soloWins[i] = s.wins
+		cycles, memStats := s.measured()
 		a := &exp.Agents[i]
 		a.Name = workloads[i].name
 		a.Spec = spec
@@ -661,86 +543,29 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	// The co-run: every agent on one shared level, all partitions warmed
 	// round-robin block-interleaved (so the steady-state capacity pressure
 	// of a partitioned join lands on every agent evenly rather than evicting
-	// the partitions warmed first), merged by the system scheduler's event
-	// heap in globally monotonic cycle order.
+	// the partitions warmed first), then every seat through one plan run,
+	// agent i arriving c.Stagger·i cycles into each detailed round.
 	sl := c.newSharedLevel()
 	hiers := make([]*mem.Hierarchy, k)
 	for i := range specs {
-		hiers[i] = sl.NewAgent(c.cmpAgentSpec(sl.Topology(), workloads[i].name, specs[i]))
+		hiers[i] = attach(sl, i)
 	}
-	if err := c.warmCMPCoRun(sl, hiers, workloadKey, workloads, interleavedWarm); err != nil {
+	if err := c.warmCMP(sl, hiers, workloadKey, workloads, interleavedWarm); err != nil {
 		return nil, err
 	}
-	// The plan advances in lockstep rounds. A fast-forward round warms
-	// every agent's trace span functionally; a detailed round schedules all
-	// agents together (re-staggered by arrival) from the cycle the previous
-	// round ended, and measured rounds contribute one window observation
-	// per agent. The system drains when the last agent of a round finishes;
-	// under a staggered arrival an agent's span is offset by its start
-	// cycle.
-	streams := make([]*matchStream, k)
-	for i := range workloads {
-		streams[i] = workloads[i].output(plan)
-	}
-	var cursor uint64
-	detailed := func(sp sampling.Span) error {
-		runs := make([]*cmpRunner, k)
-		agents := make([]system.Agent, k)
-		for i, spec := range specs {
-			r, err := newCMPRunner(hiers[i], spec, as, &workloads[i], sp, c.queueDepth(), cursor+uint64(i)*c.Stagger)
-			if err != nil {
-				return err
-			}
-			runs[i], agents[i] = r, r.agent
-		}
-		if err := system.Run(agents...); err != nil {
-			return err
-		}
-		var roundMax uint64
-		for i, r := range runs {
-			cyc, st, err := r.finish()
-			if err != nil {
-				return err
-			}
-			if r.matches != nil {
-				streams[i].detailed(r.matches())
-			}
-			if end := uint64(i)*c.Stagger + cyc; end > roundMax {
-				roundMax = end
-			}
-			if sp.Kind == sampling.Measure {
-				a := &exp.Agents[i]
-				a.Cycles += cyc
-				a.MemStats = a.MemStats.Add(st)
-				coWins[i] = append(coWins[i], windowSample{cycles: cyc, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
-			}
-		}
-		cursor += roundMax
-		return nil
-	}
-	ff := func(sp sampling.Span) error {
-		for i := range workloads {
-			streams[i].fastForward(sp)
-			_, traces := workloads[i].inst.Reference()
-			ffWarm(hiers[i], traces[sp.Start:sp.End])
-		}
-		return nil
-	}
-	if c.SampleFullDetail {
-		ff = detailed
-	}
-	if err := plan.Run(ff, detailed); err != nil {
-		return nil, err
-	}
-	for i := range workloads {
-		if err := streams[i].verify(workloads[i].name); err != nil {
+	co := make([]*seat, k)
+	for i, spec := range specs {
+		if co[i], err = c.newCMPSeat(workloads[i].name, hiers[i], as, spec, &workloads[i], plan); err != nil {
 			return nil, err
 		}
 	}
-	exp.SystemCycles = cursor
+	if exp.SystemCycles, err = c.runPlan(co, plan, c.Stagger); err != nil {
+		return nil, err
+	}
 	var coMisses, soloMisses uint64
 	for i := range exp.Agents {
 		a := &exp.Agents[i]
+		a.Cycles, a.MemStats = co[i].measured()
 		a.CyclesPerTuple = float64(a.Cycles) / float64(a.Tuples)
 		a.Slowdown = ratio(float64(a.Cycles), float64(a.SoloCycles))
 		a.LLCMissInflation = ratio(float64(a.MemStats.LLCMisses), float64(a.SoloMemStats.LLCMisses))
@@ -754,10 +579,10 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 				rep.FingerprintVerified = true
 			}
 			rep.Add(sampledMetricName(a.Name+" solo", metricCPT), cptSeries(soloWins[i]))
-			rep.Add(sampledMetricName(a.Name+" co", metricCPT), cptSeries(coWins[i]))
+			rep.Add(sampledMetricName(a.Name+" co", metricCPT), cptSeries(co[i].wins))
 			// Window j's slowdown is the co-run/solo cycle ratio of aligned
 			// windows.
-			rep.Add(a.Name+" slowdown", speedupSeries(coWins[i], soloWins[i]))
+			rep.Add(a.Name+" slowdown", speedupSeries(co[i].wins, soloWins[i]))
 		}
 		exp.Sampling = rep
 	}

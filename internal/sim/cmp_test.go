@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -565,5 +567,58 @@ func TestCMPStructureDeterministic(t *testing.T) {
 	}
 	if hits, misses := warm.WarmCache.Stats(); hits == 0 || misses == 0 {
 		t.Fatalf("warm cache did not exercise both paths (hits %d, misses %d)", hits, misses)
+	}
+}
+
+// TestCMPOneAgentCoRunIsSolo pins the degenerate co-run: one agent alone
+// on the co-run's shared level is exactly its solo reference run — same
+// cycles, same memory counters, a slowdown of 1 — whatever the agent kind,
+// structure, plan, stagger or warm cache. Solo and co-run go through the
+// same plan runner, and this is the case where the two must coincide.
+func TestCMPOneAgentCoRunIsSolo(t *testing.T) {
+	for _, agent := range []string{"widx:2w", "ooo", "inorder:mshrs=3", "widx:4w:ways=4"} {
+		specs, err := ParseAgents(agent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []structures.Kind{structures.HashJoin, structures.BTree} {
+			for _, sampled := range []bool{false, true} {
+				for _, cached := range []bool{false, true} {
+					cfg := cmpQuickConfig()
+					cfg.Scale = 1.0 / 64
+					cfg.SampleProbes = 1000
+					cfg.Stagger = 1000
+					if sampled {
+						cfg.SampleWindows, cfg.SampleWarmup, cfg.SamplePeriod = 4, 16, 32
+					}
+					if cached {
+						cfg.WarmCache = warmstate.New()
+					}
+					name := fmt.Sprintf("%s/%v/sampled=%v/cached=%v", agent, kind, sampled, cached)
+					exp, err := cfg.RunCMPStructure(join.Medium, specs, kind)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					a := exp.Agents[0]
+					if a.Tuples == 0 {
+						t.Fatalf("%s: no measured probes", name)
+					}
+					if a.Cycles != a.SoloCycles || a.Slowdown != 1 {
+						t.Errorf("%s: co-run %d cycles (slowdown %v), solo %d", name, a.Cycles, a.Slowdown, a.SoloCycles)
+					}
+					if !reflect.DeepEqual(a.MemStats, a.SoloMemStats) {
+						t.Errorf("%s: co-run memory stats differ from solo:\n%+v\nvs\n%+v", name, a.MemStats, a.SoloMemStats)
+					}
+					// A sampled run's system cycles also span its unmeasured
+					// warmup windows.
+					if !sampled && exp.SystemCycles != a.Cycles {
+						t.Errorf("%s: system cycles %d, agent cycles %d", name, exp.SystemCycles, a.Cycles)
+					}
+					if sampled && (exp.Sampling == nil || exp.Sampling.Degraded) {
+						t.Errorf("%s: the sampled plan did not fast-forward: %+v", name, exp.Sampling)
+					}
+				}
+			}
+		}
 	}
 }

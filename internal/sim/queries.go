@@ -32,8 +32,8 @@ type QueryResult struct {
 	WidxCyclesPerTuple map[int]float64
 	WidxBreakdown      map[int]Breakdown
 	// WidxRaw keeps the offload timing detail per walker count for offline
-	// analysis (cmd/widxsim's -breakdown-json dump); match payloads are
-	// stripped.
+	// analysis (cmd/widxsim's -breakdown-json dump); it carries no
+	// matches.
 	WidxRaw map[int]*widx.OffloadResult
 
 	// Speedups over the OoO baseline (Figure 10).
@@ -94,7 +94,7 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 		wres := widxRes[i]
 		res.WidxCyclesPerTuple[w] = wres.CyclesPerTuple()
 		res.WidxBreakdown[w] = scaleBreakdown(wres.WalkerTotal, w, wres.Tuples)
-		res.WidxRaw[w] = rawDetail(wres)
+		res.WidxRaw[w] = wres
 		res.IndexSpeedup[w] = res.OoOCyclesPerTuple / wres.CyclesPerTuple()
 	}
 

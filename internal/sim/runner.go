@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"widx/internal/cores"
+	"widx/internal/structures"
 	"widx/internal/vm"
 	"widx/internal/widx"
 )
@@ -134,14 +135,16 @@ type widxPoint struct {
 // then the design points fan out, each Widx task on a private clone when
 // running in parallel. Returned slices are parallel to the input slices.
 //
-// Every design point executes the same plan (samplePlan) over the sampled
-// probe prefix through its agent kind's plan runner: with sampling off that
-// is the one-window full plan, so a full-detail run is the degenerate
-// sampled run. Every Widx point's output is verified against the
-// reference matches of that prefix. The per-window observations come back
-// in phaseSampling, which is nil when sampling is off. Plan placement is a
-// pure function of the stream, so parallel runs stay bit-identical to
-// sequential ones.
+// Every design point is one seat on its own freshly built machine, and
+// runs the same plan (samplePlan) over the sampled probe prefix through
+// runPlan: with sampling off that is the one-window full plan, so a
+// full-detail run is the degenerate sampled run. Its seat carries the
+// phase's warm key, so the plan's opening fast-forward span restores a
+// checkpoint shared across design points. Every Widx point's output is
+// verified against the reference matches of that prefix. The per-window
+// observations come back in phaseSampling, which is nil when sampling is
+// off. Plan placement is a pure function of the stream, so parallel runs
+// stay bit-identical to sequential ones.
 func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widxPoint) ([]cores.Result, []*widx.OffloadResult, *phaseSampling, error) {
 	matches, _ := ph.inst.Reference()
 	resultBases := make([]uint64, len(points))
@@ -164,23 +167,35 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 	plan := c.samplePlan(c.sampleCount(ph.inst.ProbeCount()))
 	baseRes := make([]cores.Result, len(baselines))
 	widxRes := make([]*widx.OffloadResult, len(points))
-	baseWins := make([][]windowSample, len(baselines))
-	widxWins := make([][]windowSample, len(points))
-	err := c.RunTasks(len(baselines)+len(points), func(i int) error {
+	wins := make([][]windowSample, len(baselines)+len(points))
+	err := c.RunTasks(len(wins), func(i int) error {
+		sl := c.newSharedLevel()
+		var s *seat
+		var err error
 		if i < len(baselines) {
-			r, wins, err := c.runCore(ph, baselines[i], plan)
-			if err != nil {
+			s, err = newCoreSeat(sl.NewAgent(sl.Topology().Agent("host")), ph.inst, baselines[i])
+		} else {
+			j := i - len(baselines)
+			var progs *structures.Programs
+			if progs, err = ph.inst.Programs(resultBases[j], ph.prog); err != nil {
 				return err
 			}
-			baseRes[i], baseWins[i] = r, wins
-			return nil
+			s, err = newWidxSeat(ph.inst.Kind().String()+" walker", sl.NewAgent(c.widxSpec(sl.Topology(), "widx")), spaces[j], ph.inst, progs,
+				widx.Config{NumWalkers: points[j].walkers, QueueDepth: c.queueDepth(), Mode: points[j].mode}, plan)
 		}
-		j := i - len(baselines)
-		r, wins, err := c.runWidxPoint(ph, spaces[j], resultBases[j], points[j], plan)
 		if err != nil {
 			return err
 		}
-		widxRes[j], widxWins[j] = r, wins
+		s.warmKey = ph.warmKey
+		if _, err := c.runPlan([]*seat{s}, plan, 0); err != nil {
+			return err
+		}
+		if i < len(baselines) {
+			baseRes[i] = s.coreAgg
+		} else {
+			widxRes[i-len(baselines)] = s.widxAgg
+		}
+		wins[i] = s.wins
 		return nil
 	})
 	if err != nil {
@@ -191,7 +206,7 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 		return baseRes, widxRes, nil, nil
 	}
 	rep.FingerprintVerified = len(points) > 0
-	return baseRes, widxRes, &phaseSampling{report: rep, baseWins: baseWins, widxWins: widxWins}, nil
+	return baseRes, widxRes, &phaseSampling{report: rep, baseWins: wins[:len(baselines)], widxWins: wins[len(baselines):]}, nil
 }
 
 // walkerPoints returns the configured walker sweep as phase design points.

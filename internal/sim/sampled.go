@@ -1,6 +1,9 @@
-// The plan runners: every design point executes its probe stream through a
-// sampling.Plan, one runner per agent kind (runCore for baseline cores,
-// runWidxPoint for Widx, runCMPSolo and the lockstep co-run loop in cmp.go).
+// The plan runner: every design point executes its probe stream through a
+// sampling.Plan, and one runner, runPlan, drives every plan. A design
+// point is a list of seats — one per agent, each a Widx accelerator or a
+// host core with its hierarchy view, Instance and match stream — so a
+// single-agent run (every runPhase design point, a cmp solo reference) is
+// a one-seat list and a cmp co-run is the same runner over all its seats.
 // A full-detail run is the degenerate plan sampling.Full builds — one
 // measured span over the whole stream — so it takes the same path as a
 // SMARTS-style sampled run. When Config.SampleWindows is set, the plan
@@ -16,10 +19,10 @@
 // occupancy, queue fill, LRU recency) and are excluded from measurement.
 //
 // Correctness contract: the functional output is bit-identical to the
-// software reference, in full detail and sampled alike. Every design point
-// with a match stream concatenates the reference matches of its
-// fast-forward spans with the simulated matches of its detailed spans, in
-// probe order, and the fingerprint of that stream must equal the
+// software reference, in full detail and sampled alike. Every seat with a
+// match stream — every Widx agent — concatenates the reference matches of
+// its fast-forward spans with the simulated matches of its detailed spans,
+// in probe order, and the fingerprint of that stream must equal the
 // reference's over the plan's probes (structures.Instance supplies it for
 // every phase) — a mismatch is a hard run error. Window placement is a
 // pure function of (stream length, knobs), so sampled results are
@@ -34,6 +37,7 @@ import (
 	"widx/internal/mem"
 	"widx/internal/sampling"
 	"widx/internal/structures"
+	"widx/internal/system"
 	"widx/internal/vm"
 	"widx/internal/warmstate"
 	"widx/internal/widx"
@@ -233,38 +237,156 @@ func addOffloadResult(agg *widx.OffloadResult, r *widx.OffloadResult) {
 	agg.MemStats = agg.MemStats.Add(r.MemStats)
 }
 
-// runCore replays the phase's traces on a baseline core through the plan:
-// fast-forward spans warm functionally, detailed spans run on the live core
-// resuming at the cycle the previous span ended. The returned result
-// aggregates the measured spans only (its CyclesPerTuple is the
-// measured-probe-weighted window mean), alongside the per-window
-// observations. Under the full plan the aggregate is the whole run.
-func (c Config) runCore(ph *indexPhase, coreCfg cores.Config, plan sampling.Plan) (cores.Result, []windowSample, error) {
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(sl.Topology().Agent("host"))
-	core, err := cores.New(coreCfg, hier)
-	if err != nil {
-		return cores.Result{}, nil, err
+// seat is one agent of a plan run: its hierarchy view, the Instance it
+// probes, its match stream (nil for a host core, which emits no matches)
+// and the constructor of one detailed span's engine. A seat keeps the
+// aggregate of its measured spans — a core or a Widx result, by kind — and
+// one window observation per measured span.
+type seat struct {
+	// name labels the seat's output in a divergence error.
+	name string
+	hier *mem.Hierarchy
+	inst structures.Instance
+	// warmKey chains the opening fast-forward span's checkpoint on the
+	// workload's warm-cache key ("" warms inline; see ffSpan).
+	warmKey string
+	stream  *matchStream
+	// start builds the engine running one detailed span from startCycle;
+	// finish collects that engine's result once it is done, folds a
+	// measured span into the aggregate, and returns the span's cycles,
+	// memory stats and matches.
+	start  func(sp sampling.Span, startCycle uint64) (system.Agent, error)
+	finish func(measured bool) (uint64, mem.Stats, []uint64, error)
+	wins   []windowSample
+
+	coreAgg cores.Result
+	widxAgg *widx.OffloadResult
+}
+
+// measured returns the cycle and memory aggregates of the seat's measured
+// spans.
+func (s *seat) measured() (uint64, mem.Stats) {
+	if s.widxAgg != nil {
+		return s.widxAgg.TotalCycles, s.widxAgg.MemStats
 	}
-	_, traces := ph.inst.Reference()
-	var agg cores.Result
-	wins := make([]windowSample, 0, plan.Windows)
-	var cursor uint64
-	detailed := func(sp sampling.Span) error {
-		res, err := core.RunProbes(traces[sp.Start:sp.End], cursor)
+	return s.coreAgg.TotalCycles, s.coreAgg.MemStats
+}
+
+// newCoreSeat seats a baseline core on hier: each detailed span replays
+// that span's reference traces.
+func newCoreSeat(hier *mem.Hierarchy, inst structures.Instance, cfg cores.Config) (*seat, error) {
+	core, err := cores.New(cfg, hier)
+	if err != nil {
+		return nil, err
+	}
+	_, traces := inst.Reference()
+	s := &seat{hier: hier, inst: inst}
+	var e *cores.ProbeEngine
+	s.start = func(sp sampling.Span, startCycle uint64) (system.Agent, error) {
+		var err error
+		e, err = core.NewProbeEngine(traces[sp.Start:sp.End], startCycle)
+		return e, err
+	}
+	s.finish = func(measured bool) (uint64, mem.Stats, []uint64, error) {
+		r, err := e.Result()
 		if err != nil {
+			return 0, mem.Stats{}, nil, err
+		}
+		if measured {
+			addCoreResult(&s.coreAgg, r)
+		}
+		return r.TotalCycles, r.MemStats, nil, nil
+	}
+	return s, nil
+}
+
+// newWidxSeat seats a Widx accelerator running progs on hier: each
+// detailed span offloads that span's stretch of the probe-key column, and
+// the output stream over the plan's probes is checked against the
+// reference.
+func newWidxSeat(name string, hier *mem.Hierarchy, as *vm.AddressSpace, inst structures.Instance, progs *structures.Programs, cfg widx.Config, plan sampling.Plan) (*seat, error) {
+	acc, err := widx.New(cfg, hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
+	if err != nil {
+		return nil, err
+	}
+	s := &seat{name: name, hier: hier, inst: inst, stream: newMatchStream(inst, plan.Probes),
+		widxAgg: &widx.OffloadResult{Walkers: make([]widx.Breakdown, cfg.NumWalkers)}}
+	var o *widx.OffloadAgent
+	s.start = func(sp sampling.Span, startCycle uint64) (system.Agent, error) {
+		var err error
+		o, err = acc.StartOffload(widx.OffloadRequest{
+			KeyBase:    inst.ProbeKeyBase() + sp.Start*8,
+			KeyCount:   sp.Len(),
+			StartCycle: startCycle,
+		})
+		return o, err
+	}
+	s.finish = func(measured bool) (uint64, mem.Stats, []uint64, error) {
+		r, err := o.Result()
+		if err != nil {
+			return 0, mem.Stats{}, nil, err
+		}
+		if measured {
+			addOffloadResult(s.widxAgg, r)
+		}
+		return r.TotalCycles, r.MemStats, r.Matches, nil
+	}
+	return s, nil
+}
+
+// runPlan executes the plan on every seat and returns the system cycles:
+// the cycle the last detailed round ended. It is the one runner every
+// design point goes through — a single-agent run is a one-seat list.
+//
+// The plan advances in lockstep rounds. A detailed round starts seat i's
+// span at cursor + i·stagger, schedules every seat together in one
+// system.Run (merged in globally monotonic cycle order on the shared
+// level), then advances the cursor by the round's latest end; a measured
+// round adds one window observation per seat. A fast-forward round appends
+// each seat's reference matches and warms its hierarchy functionally.
+// Every seat's stream is verified against the reference at the end.
+func (c Config) runPlan(seats []*seat, plan sampling.Plan, stagger uint64) (uint64, error) {
+	var cursor uint64
+	agents := make([]system.Agent, len(seats))
+	for _, s := range seats {
+		s.wins = make([]windowSample, 0, plan.Windows)
+	}
+	detailed := func(sp sampling.Span) error {
+		for i, s := range seats {
+			a, err := s.start(sp, cursor+uint64(i)*stagger)
+			if err != nil {
+				return err
+			}
+			agents[i] = a
+		}
+		if err := system.Run(agents...); err != nil {
 			return err
 		}
-		cursor += res.TotalCycles
-		if sp.Kind != sampling.Measure {
-			return nil
+		measured := sp.Kind == sampling.Measure
+		var roundEnd uint64
+		for i, s := range seats {
+			cycles, st, matches, err := s.finish(measured)
+			if err != nil {
+				return err
+			}
+			s.stream.detailed(matches)
+			roundEnd = max(roundEnd, uint64(i)*stagger+cycles)
+			if measured {
+				s.wins = append(s.wins, windowSample{cycles: cycles, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
+			}
 		}
-		wins = append(wins, windowSample{cycles: res.TotalCycles, tuples: res.Tuples, mshr: res.MemStats.MeanMSHROccupancy()})
-		addCoreResult(&agg, res)
+		cursor += roundEnd
 		return nil
 	}
 	ff := func(sp sampling.Span) error {
-		return c.ffSpan(hier, ph.warmKey, traces, sp)
+		for _, s := range seats {
+			s.stream.fastForward(sp)
+			_, traces := s.inst.Reference()
+			if err := c.ffSpan(s.hier, s.warmKey, traces, sp); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if c.SampleFullDetail {
 		// Reference mode: fast-forward spans execute in detail too (their
@@ -272,66 +394,14 @@ func (c Config) runCore(ph *indexPhase, coreCfg cores.Config, plan sampling.Plan
 		ff = detailed
 	}
 	if err := plan.Run(ff, detailed); err != nil {
-		return cores.Result{}, nil, err
+		return 0, err
 	}
-	return agg, wins, nil
-}
-
-// runWidxPoint executes the phase's probes on one Widx design point through
-// the plan. Fast-forward spans append the reference matches of their probes
-// to the output stream and warm the hierarchy; detailed spans offload the
-// span's key range at the current cursor. The combined stream is verified
-// against the reference before the result is returned.
-func (c Config) runWidxPoint(ph *indexPhase, as *vm.AddressSpace, resultBase uint64, p widxPoint, plan sampling.Plan) (*widx.OffloadResult, []windowSample, error) {
-	progs, err := ph.inst.Programs(resultBase, ph.prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(c.widxSpec(sl.Topology(), "widx"))
-	acc, err := widx.New(widx.Config{NumWalkers: p.walkers, QueueDepth: c.queueDepth(), Mode: p.mode},
-		hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, traces := ph.inst.Reference()
-	agg := &widx.OffloadResult{Walkers: make([]widx.Breakdown, p.walkers)}
-	stream := newMatchStream(ph.inst, plan.Probes)
-	wins := make([]windowSample, 0, plan.Windows)
-	var cursor uint64
-	detailed := func(sp sampling.Span) error {
-		res, err := acc.Offload(widx.OffloadRequest{
-			KeyBase:    ph.inst.ProbeKeyBase() + sp.Start*8,
-			KeyCount:   sp.Len(),
-			StartCycle: cursor,
-		})
-		if err != nil {
-			return err
+	for _, s := range seats {
+		if err := s.stream.verify(s.name); err != nil {
+			return 0, err
 		}
-		cursor += res.TotalCycles
-		stream.detailed(res.Matches)
-		if sp.Kind != sampling.Measure {
-			return nil
-		}
-		wins = append(wins, windowSample{cycles: res.TotalCycles, tuples: res.Tuples, mshr: res.MemStats.MeanMSHROccupancy()})
-		addOffloadResult(agg, res)
-		return nil
 	}
-	ff := func(sp sampling.Span) error {
-		stream.fastForward(sp)
-		return c.ffSpan(hier, ph.warmKey, traces, sp)
-	}
-	if c.SampleFullDetail {
-		ff = detailed
-	}
-	if err := plan.Run(ff, detailed); err != nil {
-		return nil, nil, err
-	}
-	if err := stream.verify(ph.inst.Kind().String() + " walker"); err != nil {
-		return nil, nil, err
-	}
-	agg.Matches = stream.out
-	return agg, wins, nil
+	return cursor, nil
 }
 
 // phaseSampling carries one phase's sampled execution record back to the

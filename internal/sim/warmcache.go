@@ -252,49 +252,28 @@ func (c Config) warmSharedField() string {
 	return fmt.Sprintf("llc=%d/%d,block=%d", c.Mem.LLCSizeBytes, c.Mem.LLCAssoc, c.Mem.L1BlockBytes)
 }
 
-// warmCMPSolo warms one agent's partition into its uncontended hierarchy,
-// through the warm cache when enabled: the snapshot is captured once from
-// a throwaway machine of identical warm-relevant geometry and restored
-// into every consumer's level. The throwaway keeps the build closure
-// self-contained, so verify-mode rebuilds replay the warm-up from scratch
-// rather than re-capturing a level that has since executed.
-func (c Config) warmCMPSolo(hier *mem.Hierarchy, workloadKey string, w *cmpAgentWorkload, agentIdx int) error {
-	if c.WarmCache == nil || workloadKey == "" {
-		warmPartition(hier, w)
-		return nil
-	}
-	spec := hier.Spec()
-	key := warmKey(warmstate.NewFingerprint("cmpwarmsolo").
-		Field("workload", workloadKey).
-		Field("agent", agentIdx).
-		Field("shared", c.warmSharedField()).
-		Field("spec", warmSpecField(spec)))
-	st, err := c.warmStateCached(key, func() (*mem.WarmState, error) {
-		tsl := c.newSharedLevel()
-		th := tsl.NewAgent(spec)
-		warmPartition(th, w)
-		return tsl.CaptureWarmState(), nil
-	})
-	if err != nil {
-		return err
-	}
-	hier.Shared().RestoreWarmState(st)
-	return nil
-}
-
-// warmCMPCoRun warms every co-running agent's partition into the one
-// shared level, through the warm cache when enabled. The key chains on
-// the workload key and names the warming policy plus every agent's
-// warm-relevant geometry in attachment order, because the interleaved
-// policy's eviction pattern depends on all of them together.
-func (c Config) warmCMPCoRun(sl *mem.SharedLevel, hiers []*mem.Hierarchy, workloadKey string, ws []cmpAgentWorkload, interleaved bool) error {
+// warmCMP warms the partitions ws into the one shared level sl, partition
+// i into hiers[i]: round-robin block-interleaved, or — with interleaved
+// false — one whole partition after another in order. A solo reference run
+// warms its one-partition slice, for which the two policies coincide. With
+// the cache enabled the snapshot is captured once from a throwaway level of
+// identical warm-relevant geometry and restored into every consumer's
+// level; the throwaway keeps the build closure self-contained, so
+// verify-mode rebuilds replay the warm-up from scratch rather than
+// re-capturing a level that has since executed. The key chains on the
+// workload key and names the warming policy plus every warmed partition —
+// by name, which carries its agent index, so solo warm-ups of identical
+// agents stay apart — with its agent's warm-relevant geometry in
+// attachment order, because the interleaved policy's eviction pattern
+// depends on all of them together.
+func (c Config) warmCMP(sl *mem.SharedLevel, hiers []*mem.Hierarchy, workloadKey string, ws []cmpAgentWorkload, interleaved bool) error {
 	warm := func(hs []*mem.Hierarchy) {
 		if interleaved {
 			warmPartitionsInterleaved(hs, ws)
-		} else {
-			for i := range hs {
-				warmPartition(hs[i], &ws[i])
-			}
+			return
+		}
+		for i := range hs {
+			warmPartitionsInterleaved(hs[i:i+1], ws[i:i+1])
 		}
 	}
 	if c.WarmCache == nil || workloadKey == "" {
@@ -308,7 +287,7 @@ func (c Config) warmCMPCoRun(sl *mem.SharedLevel, hiers []*mem.Hierarchy, worklo
 		Field("shared", c.warmSharedField())
 	for i, h := range hiers {
 		specs[i] = h.Spec()
-		f.Field(fmt.Sprintf("agent%d", i), warmSpecField(specs[i]))
+		f.Field("partition "+ws[i].name, warmSpecField(specs[i]))
 	}
 	key := warmKey(f)
 	st, err := c.warmStateCached(key, func() (*mem.WarmState, error) {
